@@ -16,10 +16,10 @@ Freud weight (s = 1).  The package computes, cross-validates and reports on:
 Everything runs at user-chosen decimal precision (mpmath underneath) through
 an explicit NumericContext; nothing mutates global precision.
 """
-from .numerics import (NumericContext, Constants, CONSTANTS, DomainError,
-                       IntegrationError, PrecisionExhaustedError, PoleError,
-                       SingularCoefficientError, gamma_log, barnes_g_log,
-                       integrate_semi_infinite, central_difference)
+from .numerics import (NumericContext, DomainError, IntegrationError,
+                       PrecisionExhaustedError, PoleError, SingularCoefficientError,
+                       gamma_log, barnes_g_log, integrate_semi_infinite,
+                       central_difference)
 from .moments import (WeightParams, MomentTable, mu0_quadrature, mu0_closed_form,
                       mu0_gaussian, mu0, parabolic_cylinder_D,
                       parabolic_cylinder_D_integral, moment_table)
@@ -32,6 +32,7 @@ from .recurrence import (ParityData, DpiParameters, SensitivityRun, beta_at_s0,
 from .asymptotics import (SmallSCoefficients, LargeNCoefficients, DoubleScalingData,
                           FluidEndpoint, small_s_coefficients, beta_small_s,
                           large_n_coefficients, beta_large_n, double_scaling_data,
+                          double_scaling_coefficients, g_and_g_tilde,
                           beta_double_scaling, coulomb_b_squared, mrs_number,
                           fluid_endpoint)
 from .polynomials import (MonicPolynomial, LadderPair, OdeCoefficients,

@@ -30,6 +30,7 @@ corresponds to mu = 2n + alpha, and beta_n / a_mu^2 -> 1/4.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -211,9 +212,6 @@ def _solve_string_coefficients(s, alpha, N, kmax: int = 7):
     return coeffs[:kmax]
 
 
-_string_coeff_cache: dict = {}
-
-
 def large_n_coefficients(params: WeightParams, parity: str,
                          ctx: Optional[NumericContext] = None) -> LargeNCoefficients:
     """Expansion coefficients d_1..d_7 for the requested parity (cached)."""
@@ -222,10 +220,13 @@ def large_n_coefficients(params: WeightParams, parity: str,
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    key = (params, parity, digits)
-    cached = _string_coeff_cache.get(key)
-    if cached is not None:
-        return cached
+    return _large_n_coefficients(params, parity, digits)
+
+
+# Bounded so that long parameter sweeps cannot grow it without limit.
+@functools.lru_cache(maxsize=256)
+def _large_n_coefficients(params: WeightParams, parity: str,
+                          digits: int) -> LargeNCoefficients:
     with mp.workdps(digits + 10):
         s, a, N = params.mpfs()
         pairs = _solve_string_coefficients(s, a, N)
@@ -237,11 +238,9 @@ def large_n_coefficients(params: WeightParams, parity: str,
         def prefactor(n, _N=N, _s=s):
             return sqrt(mpf(n)) / (2 * sqrt(3 * _N * _s))
 
-        result = LargeNCoefficients(params=params, parity=parity, d=d,
-                                    symmetric=sym, alternating=alt,
-                                    prefactor=prefactor)
-        _string_coeff_cache[key] = result
-        return result
+        return LargeNCoefficients(params=params, parity=parity, d=d,
+                                  symmetric=sym, alternating=alt,
+                                  prefactor=prefactor)
 
 
 def beta_large_n(n: int, params: WeightParams,
@@ -266,12 +265,15 @@ def beta_large_n(n: int, params: WeightParams,
 
 @dataclass(frozen=True)
 class DoubleScalingData:
-    """r = n/N, the auxiliary g(s), f(s), and expansion coefficients a0, a1, a2."""
+    """r = n/N, the auxiliary g(s), g~(s) = s - 1 + g(s) and f(s), and the
+    expansion coefficients a0, a0' = da0/ds, a1, a2."""
 
     r: mpf
     g_s: mpf
+    g_tilde: mpf
     f_s: mpf
     a0: mpf
+    a0p: mpf
     a1: mpf
     a2: mpf
 
@@ -296,18 +298,12 @@ def _ode_operator_parts(s, r, parity, alpha):
         return (-9 * c1 * x ** 2 / (2 * s ** 2) - 3 * c1 * (1 - s) * x / (2 * s ** 3)
                 - c1 * (1 - 2 * s + 2 * r * s + s * s) / (16 * s ** 4))
 
-    def A_d3(x):
-        return -9 * c1 * x / s ** 2 - 3 * c1 * (1 - s) / (2 * s ** 3)
-
     if parity == "even":
         def B(x):
             return -alpha * c1 * x ** 2 / (8 * s ** 3)
 
         def B_d1(x):
             return -alpha * c1 * x / (4 * s ** 3)
-
-        def B_d2(x):
-            return -alpha * c1 / (4 * s ** 3)
 
         c_const = mp.zero
     else:
@@ -317,60 +313,68 @@ def _ode_operator_parts(s, r, parity, alpha):
         def B_d1(x):
             return alpha * c1 * x / (8 * s ** 3)
 
-        def B_d2(x):
-            return alpha * c1 / (8 * s ** 3)
-
         c_const = alpha ** 2 * c1 / (128 * s ** 4)
-    return A_d1, A_d2, A_d3, B, B_d1, B_d2, c_const
+    return A_d1, A_d2, B, B_d1, c_const
 
 
-def _a0_and_derivatives(s, r):
+def g_and_g_tilde(s, r) -> tuple:
+    """g(s) = sqrt(1 - 2s + 12rs + s^2) and g~(s) = s - 1 + g(s) at n = r N.
+
+    g~ is formed as s (g + s + 12r - 1)/(1 + g), free of the cancellation in
+    s - 1 + g as s -> 0.
+    """
     g = sqrt(1 - 2 * s + 12 * r * s + s * s)
-    gt = s * (g + s + 12 * r - 1) / (1 + g)  # s - 1 + g without cancellation
-    a0 = gt / (12 * s)
-    gp = (s + 6 * r - 1) / g
-    gpp = (g * g - (s + 6 * r - 1) ** 2) / g ** 3
-    u, up, upp = s - 1 + g, 1 + gp, gpp
-    a0p = (s * up - u) / (12 * s ** 2)
-    a0pp = (s * s * upp - 2 * s * up + 2 * u) / (12 * s ** 3)
-    return g, gt, a0, a0p, a0pp
+    return g, s * (g + s + 12 * r - 1) / (1 + g)
 
 
-def double_scaling_data(n: int, big_n, s, alpha,
-                        ctx: Optional[NumericContext] = None) -> DoubleScalingData:
-    """a0, a1, a2 for beta_n = a0 + a1/N + a2/N^2 + O(N^{-3}), parity of n.
+def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
+    """a0, a1, a2 for beta_n = a0 + a1/N + a2/N^2 + O(N^{-3}) at n = r N.
 
-    a0 = (s - 1 + g)/(12 s) solves the fluid cubic; a1 = -B(a0)/A'(a0) agrees
-    with the closed parity-dependent forms; a2 comes from the next order of
-    the same expansion,
+    s, r and alpha are mpf; the work runs at the caller's working precision.
+    a0 = (s - 1 + g)/(12 s) solves the fluid cubic, with
+    g = sqrt(1 - 2s + 12rs + s^2); a1 = -B(a0)/A'(a0) agrees with the closed
+    parity-dependent forms; a2 comes from the next order of the same
+    expansion,
 
         a2 = -[ A''(a0) a1^2/2 + B'(a0) a1 + C(a0, a0', a0'') ] / A'(a0),
 
     with C the derivative-bearing part of the ODE.  a1 and a2 blow up on the
     locus f(s) = 1 - 2s - 4rs + s^2 = 0, reported as an explicit error.
     """
+    if parity not in ("even", "odd"):
+        raise DomainError("parity must be 'even' or 'odd'")
+    if s <= 0:
+        raise DomainError("double-scaling regime needs s > 0")
+    f_s = 1 - 2 * s - 4 * r * s + s * s
+    if abs(f_s) < _F_SINGULAR_TOL:
+        raise SingularCoefficientError(
+            f"f(s) = {f_s} vanishes; a1, a2 are unusable at these parameters")
+    g, gt = g_and_g_tilde(s, r)
+    a0 = gt / (12 * s)
+    gp = (s + 6 * r - 1) / g
+    gpp = (g * g - (s + 6 * r - 1) ** 2) / g ** 3
+    u, up, upp = s - 1 + g, 1 + gp, gpp
+    a0p = (s * up - u) / (12 * s ** 2)
+    a0pp = (s * s * upp - 2 * s * up + 2 * u) / (12 * s ** 3)
+    A_d1, A_d2, B, B_d1, c_const = _ode_operator_parts(s, r, parity, alpha)
+    a1 = -B(a0) / A_d1(a0)
+    c_val = (a0 * a0pp - a0p ** 2 / 2 + (2 + s) * a0 * a0p / (s * (1 + s))
+             + (3 - s) * a0 ** 2 / (8 * s ** 2 * (1 + s)) + c_const)
+    a2 = -(A_d2(a0) * a1 ** 2 / 2 + B_d1(a0) * a1 + c_val) / A_d1(a0)
+    return DoubleScalingData(r=r, g_s=g, g_tilde=gt, f_s=f_s, a0=a0, a0p=a0p,
+                             a1=a1, a2=a2)
+
+
+def double_scaling_data(n: int, big_n, s, alpha,
+                        ctx: Optional[NumericContext] = None) -> DoubleScalingData:
+    """``double_scaling_coefficients`` at r = n/N for the parity of n."""
     digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
     with mp.workdps(digits + 10):
-        s = mpmathify(s)
-        alpha = mpmathify(alpha)
-        Nv = mpmathify(big_n)
-        if s <= 0:
-            raise DomainError("double-scaling regime needs s > 0")
-        r = mpf(n) / Nv
+        r = mpf(n) / mpmathify(big_n)
         if not (0 < r <= 1):
             raise DomainError(f"r = n/N must lie in (0, 1], got {r}")
-        f_s = 1 - 2 * s - 4 * r * s + s * s
-        g, gt, a0, a0p, a0pp = _a0_and_derivatives(s, r)
-        if abs(f_s) < _F_SINGULAR_TOL:
-            raise SingularCoefficientError(
-                f"f(s) = {f_s} vanishes; a1, a2 are unusable at these parameters")
-        parity = "even" if n % 2 == 0 else "odd"
-        A_d1, A_d2, A_d3, B, B_d1, B_d2, c_const = _ode_operator_parts(s, r, parity, alpha)
-        a1 = -B(a0) / A_d1(a0)
-        c_val = (a0 * a0pp - a0p ** 2 / 2 + (2 + s) * a0 * a0p / (s * (1 + s))
-                 + (3 - s) * a0 ** 2 / (8 * s ** 2 * (1 + s)) + c_const)
-        a2 = -(A_d2(a0) * a1 ** 2 / 2 + B_d1(a0) * a1 + c_val) / A_d1(a0)
-        return DoubleScalingData(r=+r, g_s=+g, f_s=+f_s, a0=+a0, a1=+a1, a2=+a2)
+        return double_scaling_coefficients(mpmathify(s), r, mpmathify(alpha),
+                                           "even" if n % 2 == 0 else "odd")
 
 
 def beta_double_scaling(n: int, big_n, s, alpha,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpmathify, nstr
 
-from .numerics import NumericContext, DomainError
+from .numerics import NumericContext, DomainError, to_fraction
 from .moments import WeightParams, moment_table
 from . import hankel, recurrence, asymptotics, polynomials, detasympt
 from .verification import run_suite, SUITES
@@ -229,8 +229,9 @@ def cmd_sweep(args) -> int:
     steps = args.steps
     if steps < 1:
         raise DomainError("need at least one grid point")
+    # exact rational grid points, so that --s-to 1 really ends on s = 1
+    s_from, s_to = to_fraction(args.s_from), to_fraction(args.s_to)
     with mp.workdps(args.digits):
-        s_from, s_to = mpmathify(args.s_from), mpmathify(args.s_to)
         rows = []
         for i in range(steps):
             sv = s_from + (s_to - s_from) * i / max(steps - 1, 1)

@@ -26,7 +26,8 @@ and integrating over s in [0, 1] connects D_n(1) to the exactly known D_n(0).
 
 ``logdet_expansion`` evaluates the large-n displays for log(D_n(1)/D_n(0)),
 log D_n(0) and log D_n(1) through their 1/n terms, with Barnes-G constant
-blocks.  The n-linear coefficients of the ratio and of log D_n(1) are
+blocks; Barnes G and the Glaisher constant A come from mpmath (``barnesg``,
+``mp.glaisher``).  The n-linear coefficients of the ratio and of log D_n(1) are
 parity-independent (the even-parity variants confirmed against exact
 determinant data), while the 1/n terms do alternate with parity.
 """
@@ -35,14 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from mpmath import mp, mpf, mpmathify, sqrt, log, pi, matrix, lu_solve, fsum
+from mpmath import mp, mpf, mpmathify, log, pi, matrix, lu_solve, fsum
 
-from .numerics import (NumericContext, DomainError, SingularCoefficientError,
-                       barnes_g_log, gamma_log)
+from .numerics import NumericContext, DomainError, barnes_g_log
 from .moments import WeightParams
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import beta_prime, delta_parity
-from .asymptotics import _ode_operator_parts, _a0_and_derivatives, _F_SINGULAR_TOL
+from .asymptotics import double_scaling_coefficients, g_and_g_tilde
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,7 @@ class AppendixBCoefficients:
 
 def _a_coefficient(s, r) -> mpf:
     """A(s): the N^2 coefficient, an explicit expression in g~ = s - 1 + g."""
-    g = sqrt(1 - 2 * s + 12 * r * s + s * s)
-    gt = s * (g + s + 12 * r - 1) / (1 + g)  # cancellation-free s - 1 + g
+    _, gt = g_and_g_tilde(s, r)
     return (3 * r ** 2 * (1 + s) / (8 * s * gt)
             - r * (1 + 2 * r * s - s * s) / (8 * s ** 2)
             + (1 + s) * (1 - 2 * s + 2 * r * s + s * s) * gt / (96 * s ** 3)
@@ -123,8 +122,7 @@ def _a_coefficient(s, r) -> mpf:
 
 def _d_coefficient(s, r, alpha, parity: str) -> mpf:
     """D(s): the 1/N coefficient, explicit polynomial forms per parity."""
-    g = sqrt(1 - 2 * s + 12 * r * s + s * s)
-    gt = s - 1 + g
+    g, gt = g_and_g_tilde(s, r)
     if parity == "even":
         bracket = 1 + 2 * g - 2 * s * (1 - 6 * r + g) + s * s
         d0 = -(1 + s) * alpha / (g * gt * gt * bracket ** 3)
@@ -212,23 +210,13 @@ def _t_operator_parts(s, r, alpha, dn: int):
 def appendix_b_coefficients(s, r, alpha, parity: str,
                             ctx: Optional[NumericContext] = None) -> AppendixBCoefficients:
     """Evaluate A(s), B(s), C(s), D(s) for n of the given parity at n = r N."""
-    if parity not in ("even", "odd"):
-        raise DomainError("parity must be 'even' or 'odd'")
     digits = ctx.digits if ctx is not None else 50
     with mp.workdps(digits + 15):
         s, r, alpha = mpmathify(s), mpmathify(r), mpmathify(alpha)
         if not (0 < s <= 1):
             raise DomainError("s must lie in (0, 1]")
-        f_s = 1 - 2 * s - 4 * r * s + s * s
-        if abs(f_s) < _F_SINGULAR_TOL:
-            raise SingularCoefficientError(f"f(s) = {f_s} vanishes")
-        g, gt, a0, a0p, a0pp = _a0_and_derivatives(s, r)
-        # a1, a2 of the double-scaling expansion (parity dependent)
-        A_d1, A_d2, A_d3, B, B_d1, B_d2, c_const = _ode_operator_parts(s, r, parity, alpha)
-        a1 = -B(a0) / A_d1(a0)
-        c_val = (a0 * a0pp - a0p ** 2 / 2 + (2 + s) * a0 * a0p / (s * (1 + s))
-                 + (3 - s) * a0 ** 2 / (8 * s ** 2 * (1 + s)) + c_const)
-        a2 = -(A_d2(a0) * a1 ** 2 / 2 + B_d1(a0) * a1 + c_val) / A_d1(a0)
+        ds = double_scaling_coefficients(s, r, alpha, parity)
+        a0, a0p, a1, a2 = ds.a0, ds.a0p, ds.a1, ds.a2
         dn = 0 if parity == "even" else 1
         t2, t2_d1, t2_d2, t1, t1_d1, t0 = _t_operator_parts(s, r, alpha, dn)
         a_s = _a_coefficient(s, r)
@@ -237,7 +225,7 @@ def appendix_b_coefficients(s, r, alpha, parity: str,
         d_s = _d_coefficient(s, r, alpha, parity)
         return AppendixBCoefficients(s=+s, r=+r, alpha=+alpha, parity=parity,
                                      a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s,
-                                     g_s=+g, g_tilde=+gt, f_s=+f_s)
+                                     g_s=+ds.g_s, g_tilde=+ds.g_tilde, f_s=+ds.f_s)
 
 
 def fit_abc(s, r, alpha, big_ns, ctx: NumericContext,
@@ -285,7 +273,8 @@ Quantity = Literal["ratio_10", "D0", "D1"]
 
 @dataclass(frozen=True)
 class LogDetExpansion:
-    """One evaluated display: coefficients of n^2, n, log n, 1, 1/n and the sum."""
+    """One evaluated display: coefficients of n^2, n, log n, 1, 1/n and their
+    sum ``value``, all carrying the digits of the context that evaluated them."""
 
     quantity: Quantity
     n: int
@@ -297,12 +286,7 @@ class LogDetExpansion:
     logn: mpf
     const: mpf
     invn: mpf
-
-    @property
-    def value(self) -> mpf:
-        n = mpf(self.n)
-        return (self.n2 * n * n + self.n1 * n + self.logn * log(n)
-                + self.const + self.invn / n)
+    value: mpf
 
     def terms(self) -> dict:
         return {"n^2": self.n2, "n": self.n1, "log n": self.logn,
@@ -337,7 +321,6 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
             raise DomainError("r must lie in (0, 1]")
         lr = log(r)
         even = parity == "even"
-        from .numerics import CONSTANTS
         if quantity == "ratio_10":
             n2 = (3 - 2 * log(mpf(3)) - 2 * lr) / 8
             n1 = -alpha * (-1 + log(mpf(3)) + lr) / 4  # parity independent
@@ -348,7 +331,7 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
             n2 = (2 * lr - 2 * log(mpf(2)) - 3) / 4
             n1 = log(2 * pi) - alpha * (1 + log(mpf(2)) - lr) / 2
             lgn = (3 * alpha ** 2 - 1) / mpf(12)
-            const = (-CONSTANTS.glaisher_log()
+            const = (-log(mp.glaisher)
                      + (1 + 6 * alpha * log(2 * pi) - 3 * alpha ** 2 * log(mpf(2))) / 12
                      + _barnes_block(alpha, ctx))
             invn = (alpha ** 3 + alpha) / 12 if even else (alpha ** 3 - 2 * alpha) / 12
@@ -358,11 +341,13 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
             lgn = (3 * alpha ** 2 - 1) / mpf(12)
             const = ((1 - log(mpf(2)) + 6 * alpha * log(2 * pi)
                       - 3 * alpha ** 2 * log(mpf(3))) / 12
-                     - CONSTANTS.glaisher_log() + _barnes_block(alpha, ctx))
+                     - log(mp.glaisher) + _barnes_block(alpha, ctx))
             invn = (alpha * (5 * alpha ** 2 + 7) / 48 if even
                     else alpha * (5 * alpha ** 2 - 11) / 48)
         else:
             raise DomainError(f"unknown quantity {quantity!r}")
+        nm = mpf(n)
+        value = n2 * nm * nm + n1 * nm + lgn * log(nm) + const + invn / nm
         return LogDetExpansion(quantity=quantity, n=n, r=+r, alpha=+alpha,
                                parity=parity, n2=+n2, n1=+n1, logn=+lgn,
-                               const=+const, invn=+invn)
+                               const=+const, invn=+invn, value=+value)

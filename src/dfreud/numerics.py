@@ -11,11 +11,10 @@ Provided here:
 
 * ``NumericContext`` -- decimal working precision plus quadrature / finite
   difference policy, threaded explicitly through every numeric operation.
-* ``gamma_log`` / ``barnes_g_log`` -- log Gamma and log of the Barnes G-function.
-  Barnes G is normalised by G(1) = G(2) = 1 with G(z+1) = Gamma(z) G(z) and is
-  evaluated by shifting the argument up through that recursion until the
-  standard asymptotic expansion (Bernoulli-number tail, Glaisher constant)
-  converges below the target precision.
+* ``gamma_log`` / ``barnes_g_log`` -- log Gamma and log of the Barnes G-function,
+  normalised by G(1) = G(2) = 1 with G(z+1) = Gamma(z) G(z).  Both come from
+  mpmath (``loggamma``, ``barnesg``) evaluated with guard digits; so does the
+  Glaisher constant ``mp.glaisher`` used by the determinant asymptotics.
 * ``integrate_semi_infinite`` -- double-exponential quadrature on (0, inf) with
   an optional algebraic endpoint singularity y**p, p > -1, removed by the
   substitution y = u**m before the quadrature sees it.
@@ -25,11 +24,11 @@ Provided here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from mpmath import mp, mpf, mpmathify, quad, inf, loggamma, log
+from mpmath import mp, mpf, mpmathify, quad, inf, loggamma, log, barnesg
 
 
 class DomainError(ValueError):
@@ -123,44 +122,6 @@ class NumericContext:
 
 
 # ---------------------------------------------------------------------------
-# constants
-# ---------------------------------------------------------------------------
-
-#: Glaisher-Kinkelin constant A = exp(1/12 - zeta'(-1)), stored literal (205 digits).
-GLAISHER_A = (
-    "1.28242712910062263687534256886979172776768892732500119206374002174040630885882"
-    "64611297364919582023743942064612039900074893315779136277528040415907257386172752"
-    "21433432714343978733506791525736685690787656115"
-)
-
-
-def _bernoulli_table(max_index: int) -> tuple[Fraction, ...]:
-    # exact rationals via sum_{k=0}^{m-1} C(m+1,k) B_k = -(m+1) B_m
-    table = [Fraction(1)]
-    for m in range(1, max_index + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * table[k]
-        table.append(-acc / (m + 1))
-    return tuple(table)
-
-
-@dataclass(frozen=True)
-class Constants:
-    """High-precision literals and exact tables used by the asymptotic formulas."""
-
-    glaisher_A: str = GLAISHER_A
-    bernoulli: tuple[Fraction, ...] = field(default_factory=lambda: _bernoulli_table(40))
-
-    def glaisher_log(self) -> mpf:
-        """log A at the current working precision."""
-        return log(mpmathify(self.glaisher_A))
-
-
-CONSTANTS = Constants()
-
-
-# ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
 
@@ -180,34 +141,13 @@ def gamma_log(x, ctx: NumericContext) -> mpf:
 def barnes_g_log(z, ctx: NumericContext) -> mpf:
     """log G(z) for real z > 0, with G(1) = G(2) = 1 and G(z+1) = Gamma(z) G(z).
 
-    The argument is shifted upward through the recursion until the asymptotic
-    expansion of log G(w+1),
-
-        w^2/4 + w logGamma(w+1) - [w(w+1)/2 + 1/12] log w - log A
-        + sum_k B_{2k+2} / (2k (2k+1) (2k+2) w^{2k}),
-
-    truncated at the exact Bernoulli table (B_40), leaves the first omitted
-    term below 10**(-digits) at the shifted argument.
+    Backed by mpmath's Barnes G, evaluated with fifteen guard digits.
     """
     with mp.workdps(ctx.digits + 15):
         z = mpmathify(z)
         if z <= 0:
             raise DomainError(f"barnes_g_log requires z > 0, got {z}")
-        # |B_40|/(38*39*40 w^36) < 10^-digits  =>  w > 10^((digits+12)/36)
-        w_min = mpf(10) ** (mpf(ctx.digits + 12) / 36)
-        shifts = max(0, int(w_min - z) + 1)
-        # log G(z) = log G(z + shifts) - sum_{j<shifts} logGamma(z+j)
-        shift_sum = mp.fsum(loggamma(z + j).real for j in range(shifts))
-        w = z + shifts - 1
-        series = (w * w / 4 + w * loggamma(w + 1).real
-                  - (w * (w + 1) / 2 + mpf(1) / 12) * log(w)
-                  - CONSTANTS.glaisher_log())
-        bern = CONSTANTS.bernoulli
-        for k in range(1, (len(bern) - 1) // 2):
-            b = bern[2 * k + 2]
-            series += (mpf(b.numerator) / b.denominator
-                       / ((2 * k) * (2 * k + 1) * (2 * k + 2) * w ** (2 * k)))
-        return +(series - shift_sum)
+        return +log(barnesg(z))
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,10 @@ def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
         s, a, N = params.mpfs()
-        b = betas.betas if isinstance(betas, BetaSequence) else betas
         if z == 0 and n % 2 == 1:
             raise PoleError("B_n has a 1/z pole at z = 0 for odd n")
-        a_n = 4 * N * s * z * z + 4 * N * s * (b[n + 1] + b[n]) + 2 * N * (1 - s)
-        b_n = 4 * N * s * b[n] * z
+        a_n = 4 * N * s * z * z + 4 * N * s * (betas[n + 1] + betas[n]) + 2 * N * (1 - s)
+        b_n = 4 * N * s * betas[n] * z
         if n % 2 == 1:
             b_n += a * delta_parity(n) / z
         return LadderPair(n=n, z=z, a_n=a_n, b_n=b_n, v0_prime=v0_prime(z, params))
@@ -130,10 +129,9 @@ def lowering_residual(n: int, z, params: WeightParams, betas,
     if polys is None:
         polys = build_polynomials(betas, n + 1)
     with mp.workdps(_work_dps(betas)):
-        b = betas.betas if isinstance(betas, BetaSequence) else betas
         pair = ladder_pair(n, z, params, betas)
         return (eval_poly(polys[n], z, 1)
-                - (b[n] * pair.a_n * eval_poly(polys[n - 1], z)
+                - (betas[n] * pair.a_n * eval_poly(polys[n - 1], z)
                    - pair.b_n * eval_poly(polys[n], z)))
 
 
@@ -148,12 +146,12 @@ def sum_rule_residual(n: int, params: WeightParams, betas) -> mpf:
         raise DomainError("sum rule stated for s > 0")
     with mp.workdps(_work_dps(betas)):
         s, a, N = params.mpfs()
-        b = betas.betas if isinstance(betas, BetaSequence) else betas
         u = (1 - s) / (2 * s)
         dn = delta_parity(n)
-        lhs = fsum(b[j + 1] + b[j] for j in range(n))
-        rhs = (4 * N * s * b[n] * (b[n + 1] + b[n] + u) * (b[n] + b[n - 1] + u)
-               + a * b[n] * (1 - 2 * dn) - u * (n + a * dn))
+        lhs = fsum(betas[j + 1] + betas[j] for j in range(n))
+        rhs = (4 * N * s * betas[n] * (betas[n + 1] + betas[n] + u)
+               * (betas[n] + betas[n - 1] + u)
+               + a * betas[n] * (1 - 2 * dn) - u * (n + a * dn))
         return lhs - rhs
 
 
@@ -169,17 +167,16 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
         if z == 0:
             raise PoleError("the conditions carry alpha/z terms; z = 0 excluded")
         s, a, N = params.mpfs()
-        b = betas.betas if isinstance(betas, BetaSequence) else betas
-        if len(b) < n + 2:
+        if len(betas) < n + 2:
             raise DomainError("betas must cover indices 0..n+1")
         pairs = {m: ladder_pair(m, z, params, betas) for m in range(n + 2)}
         v0p = pairs[n].v0_prime
         r_s1 = (pairs[n + 1].b_n + pairs[n].b_n) - (z * pairs[n].a_n - v0p + a / z)
         r_s2 = (1 + z * (pairs[n + 1].b_n - pairs[n].b_n)
-                - (b[n + 1] * pairs[n + 1].a_n - b[n] * pairs[n - 1].a_n))
+                - (betas[n + 1] * pairs[n + 1].a_n - betas[n] * pairs[n - 1].a_n))
         r_s2p = (pairs[n].b_n ** 2 + (v0p - a / z) * pairs[n].b_n
                  + fsum(pairs[j].a_n for j in range(n))
-                 - b[n] * pairs[n].a_n * pairs[n - 1].a_n)
+                 - betas[n] * pairs[n].a_n * pairs[n - 1].a_n)
         return r_s1, r_s2, r_s2p
 
 
@@ -211,18 +208,18 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
         s, a, N = params.mpfs()
         if s == 0:
             raise DomainError("the z-ODE coefficients are stated for s > 0")
-        b = betas.betas if isinstance(betas, BetaSequence) else betas
         u = (1 - s) / (2 * s)
-        pole = z * z + u + b[n] + b[n + 1]
+        pole = z * z + u + betas[n] + betas[n + 1]
         _pole_guard(pole, digits)
         if a != 0:
             _pole_guard(z, digits)
         sgn = (-1) ** n
         r_n = -4 * N * s * z ** 3 - 2 * N * (1 - s) * z + a / z - 2 * z / pole
-        q_n = (4 * N * s * b[n] * (1 + a * sgn)
-               + 16 * N ** 2 * s ** 2 * b[n] * (u + b[n] + b[n - 1]) * (u + b[n] + b[n + 1])
+        q_n = (4 * N * s * betas[n] * (1 + a * sgn)
+               + 16 * N ** 2 * s ** 2 * betas[n] * (u + betas[n] + betas[n - 1])
+               * (u + betas[n] + betas[n + 1])
                - a * (1 - sgn) * (N * (1 - s) + 1 / (2 * z * z))
-               - (8 * N * s * b[n] * z * z + a * (1 - sgn)) / pole
+               - (8 * N * s * betas[n] * z * z + a * (1 - sgn)) / pole
                + 4 * n * N * s * z * z)
         return OdeCoefficients(n=n, z=z, r_n=r_n, q_n=q_n)
 

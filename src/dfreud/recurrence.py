@@ -159,8 +159,7 @@ def beta_prime(n: int, betas, params: WeightParams) -> mpf:
     if params.s == 0:
         raise DomainError("beta_prime formula is singular at s = 0")
     s, a, N = params.mpfs()
-    b = betas.betas if isinstance(betas, BetaSequence) else betas
-    return b[n] / (2 * s) * (N * (s + 1) * (b[n + 1] - b[n - 1]) - 1)
+    return betas[n] / (2 * s) * (N * (s + 1) * (betas[n + 1] - betas[n - 1]) - 1)
 
 
 def beta_second(n: int, betas, params: WeightParams) -> mpf:
@@ -176,13 +175,12 @@ def beta_second(n: int, betas, params: WeightParams) -> mpf:
     if params.s == 0:
         raise DomainError("beta_second formula is singular at s = 0")
     s, a, N = params.mpfs()
-    b = betas.betas if isinstance(betas, BetaSequence) else betas
     bp_n = beta_prime(n, betas, params)
     bp_up = beta_prime(n + 1, betas, params)
     bp_dn = beta_prime(n - 1, betas, params)
-    E = N * (1 + s) * (b[n + 1] - b[n - 1]) - 1
-    Ep = N * (b[n + 1] - b[n - 1]) + N * (1 + s) * (bp_up - bp_dn)
-    return (bp_n * E + b[n] * Ep) / (2 * s) - b[n] * E / (2 * s * s)
+    E = N * (1 + s) * (betas[n + 1] - betas[n - 1]) - 1
+    Ep = N * (betas[n + 1] - betas[n - 1]) + N * (1 + s) * (bp_up - bp_dn)
+    return (bp_n * E + betas[n] * Ep) / (2 * s) - betas[n] * E / (2 * s * s)
 
 
 def ode25_residual(n: int, params: WeightParams, ctx: NumericContext,

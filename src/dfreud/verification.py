@@ -238,16 +238,17 @@ def criterion_5(digits: int = 60, n_max: int = 30) -> list[Check]:
             worst, mpf(0))]
 
 
-def criterion_6() -> list[Check]:
+def criterion_6(digits: int = 60) -> list[Check]:
     """|beta_n / a_mu^2 - 1/4| < 2/n at mu = 2n + alpha for n in {100, 200}."""
     checks = []
-    with mp.workdps(60):
+    ctx = NumericContext(digits=digits)
+    with mp.workdps(digits):
         worst = mpf("-inf")
         for (s, alpha) in (("0.5", "1.5"), ("1", "0"), ("1", "1.5")):
             params = WeightParams(s, alpha, 1)
             for n in (100, 200):
-                beta = asymptotics.beta_large_n(n, params)
-                a_mu = asymptotics.fluid_endpoint(n, params).a_mu
+                beta = asymptotics.beta_large_n(n, params, ctx)
+                a_mu = asymptotics.fluid_endpoint(n, params, ctx).a_mu
                 dev = abs(beta / a_mu ** 2 - mpf(1) / 4) - mpf(2) / n
                 worst = max(worst, dev)
         checks.append(Check.build(
@@ -452,13 +453,7 @@ def run_suite(suite: str, digits: Optional[int] = None) -> VerificationReport:
     start = time.time()
     checks: list[Check] = []
     for fn in SUITES[suite]:
-        if digits is None:
-            checks.extend(fn())
-        else:
-            try:
-                checks.extend(fn(digits=digits))
-            except TypeError:
-                checks.extend(fn())
+        checks.extend(fn() if digits is None else fn(digits=digits))
     return VerificationReport(suite=suite, checks=checks,
                               params_grid=[list(p) for p in _SUITE_BETA_POINTS],
                               digits=digits or 0, wall_time=time.time() - start)

@@ -148,6 +148,14 @@ class TestSweep:
         assert lines[0] == "s,n,beta_n"
         assert len(lines) == 1 + 3 * 2
 
+    def test_default_grid_ends_on_s_one(self, capsys):
+        # a grid built in mpf ended on 1 + 1.6e-61, which WeightParams rejects
+        code, out, _ = run_cli(capsys, "sweep", "--n-list", "1")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 10
+        assert lines[-1].startswith("1.0,1,")
+
     def test_empty_n_list(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n-list", "")
         assert code == 2
@@ -176,6 +184,25 @@ class TestVerify:
         monkeypatch.setitem(verification.SUITES, "ode", (failing,))
         code, out, _ = run_cli(capsys, "verify", "--suite", "ode")
         assert code == 1
+
+    def test_type_error_in_a_criterion_propagates(self, monkeypatch):
+        import dfreud.verification as verification
+        calls = []
+
+        def broken(digits=60):
+            calls.append(digits)
+            raise TypeError("bug inside a criterion")
+
+        monkeypatch.setitem(verification.SUITES, "ode", (broken,))
+        with pytest.raises(TypeError, match="bug inside"):
+            verification.run_suite("ode", digits=40)
+        assert calls == [40]  # not retried at the default precision
+
+    def test_every_check_takes_digits(self):
+        import inspect
+        import dfreud.verification as verification
+        for fn in verification.SUITES["all"]:
+            assert "digits" in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestPrecisionCap:

@@ -177,11 +177,16 @@ class TestLogDetExpansion:
             assert abs(disp - exact) < mpf("1e-2")
 
     def test_value_assembles_terms(self):
-        with mp.workdps(50):
-            e = logdet_expansion("D0", 10, "0.5", "1.1")
-            manual = (e.n2 * 100 + e.n1 * 10 + e.logn * log(mpf(10))
-                      + e.const + e.invn / 10)
-            assert abs(e.value - manual) < mpf(10) ** -40
+        # value carries the context's digits, not the caller's 15-digit precision
+        ctx = NumericContext(digits=60)
+        for quantity in ("ratio_10", "D0", "D1"):
+            with mp.workdps(15):
+                e = logdet_expansion(quantity, 20, 1, 0, ctx=ctx)
+            with mp.workdps(80):
+                n = mpf(20)
+                manual = (e.n2 * n * n + e.n1 * n + e.logn * log(n)
+                          + e.const + e.invn / n)
+                assert abs(e.value - manual) < mpf(10) ** -55, quantity
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,41 @@
+"""Byte-for-byte regression of the CLI at default flags.
+
+``golden/<case>.stdout`` holds the standard output of ``dfreud <argv>`` and
+``golden/<case>.stderr``, where present, its standard error; a missing
+``.stderr`` file means the command writes nothing there.  The files were
+captured from the package before the Barnes G, double-scaling and cache
+refactors, so any digit those refactors moved would show up here.  The one
+deliberate change since is the ``value`` column of the three ``logdet``
+displays, which used to be summed at the ambient 15-digit precision.
+"""
+from pathlib import Path
+
+import pytest
+
+from dfreud.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "beta_hankel": (("beta", "--method", "hankel"), 0),
+    "beta_dpi": (("beta", "--method", "dpi"), 0),
+    "beta_smalls": (("beta", "--method", "smalls"), 0),
+    "beta_largen": (("beta", "--method", "largen"), 0),
+    "beta_double": (("beta", "--method", "double"), 2),  # r = n/N > 1 from n = 2
+    "hankel_det": (("hankel-det",), 0),
+    "logdet_dlogds": (("logdet", "--quantity", "dlogds"), 0),
+    "logdet_ratio_10": (("logdet", "--quantity", "ratio_10"), 0),
+    "logdet_D0": (("logdet", "--quantity", "D0"), 0),
+    "logdet_D1": (("logdet", "--quantity", "D1"), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, capsys):
+    argv, expected_code = CASES[case]
+    code = main(list(argv))
+    out = capsys.readouterr()
+    err_path = GOLDEN / f"{case}.stderr"
+    assert code == expected_code
+    assert out.out == (GOLDEN / f"{case}.stdout").read_text(encoding="utf-8")
+    assert out.err == (err_path.read_text(encoding="utf-8") if err_path.exists() else "")

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma, barnesg
+from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma
 
-from dfreud import (NumericContext, CONSTANTS, DomainError, gamma_log,
+from dfreud import (NumericContext, DomainError, gamma_log,
                     barnes_g_log, integrate_semi_infinite, central_difference)
 from conftest import assert_close
 
@@ -21,24 +21,6 @@ class TestNumericContext:
     def test_quad_tol_below_precision(self):
         with pytest.raises(DomainError):
             NumericContext(digits=30, quad_tol=Fraction(1, 10 ** 40))
-
-
-class TestConstants:
-    def test_glaisher_leading_digits(self):
-        assert CONSTANTS.glaisher_A.startswith("1.2824271291")
-
-    def test_glaisher_against_zeta_route(self):
-        # A = exp(1/12 - zeta'(-1)); mpmath computes the right side independently
-        from mpmath import glaisher
-        with mp.workdps(120):
-            assert abs(mpmathify(CONSTANTS.glaisher_A) - glaisher) < mpf(10) ** -118
-
-    def test_bernoulli_exact(self):
-        b = CONSTANTS.bernoulli
-        assert b[2] == Fraction(1, 6)
-        assert b[4] == Fraction(-1, 30)
-        assert b[12] == Fraction(-691, 2730)
-        assert len(b) == 41 and all(b[k] == 0 for k in range(3, 40, 2))
 
 
 class TestGammaLog:
@@ -92,12 +74,14 @@ class TestBarnesGLog:
                          - barnes_g_log(z, ctx))
                 assert abs(resid) < mpf(10) ** -20
 
-    def test_against_independent_implementation(self, ctx60):
-        with mp.workdps(70):
-            for z in ("0.5", "1.75", "3.25", "9.5"):
-                mine = barnes_g_log(mpmathify(z), ctx60)
-                ref = log(barnesg(mpmathify(z)))
-                assert abs(mine - ref) < mpf(10) ** -50
+    def test_against_independent_implementation(self):
+        # closed form: log G(1/2) = log 2/24 + 1/8 - (log pi)/4 - (3/2) log A
+        for digits in (60, 250):
+            ctx = NumericContext(digits=digits)
+            with mp.workdps(digits + 20):
+                ref = log(2) / 24 + mpf(1) / 8 - log(pi) / 4 - 3 * log(mp.glaisher) / 2
+                err = abs(barnes_g_log(mpf(1) / 2, ctx) - ref)
+                assert err < mpf(10) ** -(digits - 5), (digits, err)
 
     def test_domain(self, ctx60):
         with pytest.raises(DomainError):
