@@ -18,10 +18,10 @@ its predicted remainder order:
 
 3. n, N -> infinity with r = n/N fixed (``beta_double_scaling``):
    beta = a0(s) + a1(s)/N + a2(s)/N^2 + O(N^{-3}) where a0 solves the
-   Coulomb-fluid cubic, a1 is the standard parity-dependent correction, and
-   a2 is obtained by linearising the second-order ODE around a0 (the
-   operator-chain construction below), which the Hankel data confirms at the
-   O(N^{-3}) rate.
+   Coulomb-fluid cubic, and a1 (the standard parity-dependent correction) and
+   a2 come from substituting the expansion into the N-slices of the
+   second-order ODE, written once in ``recurrence`` next to
+   ``ode25_residual``; the Hankel data confirms a2 at the O(N^{-3}) rate.
 
 The fluid endpoint b^2 (support edge of the equilibrium density) and the
 Mhaskar-Rakhmanov-Saff number a_mu share one quadratic-in-the-square
@@ -38,7 +38,7 @@ from mpmath import mp, mpf, mpmathify, sqrt, matrix, lu_solve, binomial, fsum
 
 from .numerics import NumericContext, DomainError, SingularCoefficientError, fraction_to_mpf
 from .moments import WeightParams
-from .recurrence import ParityData, delta_parity
+from .recurrence import ParityData, _laurent, _ode_slices, _ode_beta_prime_term
 
 _DEFAULT_DIGITS = 50
 
@@ -281,42 +281,6 @@ class DoubleScalingData:
 _F_SINGULAR_TOL = 1e-8
 
 
-def _ode_operator_parts(s, r, parity, alpha):
-    """The N^2, N^1 and N^0 parts of the second-order ODE as functions of beta.
-
-    Writing the ODE (times beta) as N^2 A(beta) + N B(beta) + C(beta, beta',
-    beta'') = 0 with n = r N; A is parity independent, B and the constant in C
-    carry the parity structure of (p_n, q_n).
-    """
-    c1 = (1 + s) ** 2
-
-    def A_d1(x):
-        return (-3 * c1 * x ** 3 / (2 * s ** 2) - 3 * c1 * (1 - s) * x ** 2 / (4 * s ** 3)
-                - c1 * (1 - 2 * s + 2 * r * s + s * s) * x / (16 * s ** 4))
-
-    def A_d2(x):
-        return (-9 * c1 * x ** 2 / (2 * s ** 2) - 3 * c1 * (1 - s) * x / (2 * s ** 3)
-                - c1 * (1 - 2 * s + 2 * r * s + s * s) / (16 * s ** 4))
-
-    if parity == "even":
-        def B(x):
-            return -alpha * c1 * x ** 2 / (8 * s ** 3)
-
-        def B_d1(x):
-            return -alpha * c1 * x / (4 * s ** 3)
-
-        c_const = mp.zero
-    else:
-        def B(x):
-            return alpha * c1 * x ** 2 / (16 * s ** 3) + r * alpha * c1 / (64 * s ** 4)
-
-        def B_d1(x):
-            return alpha * c1 * x / (8 * s ** 3)
-
-        c_const = alpha ** 2 * c1 / (128 * s ** 4)
-    return A_d1, A_d2, B, B_d1, c_const
-
-
 def g_and_g_tilde(s, r) -> tuple:
     """g(s) = sqrt(1 - 2s + 12rs + s^2) and g~(s) = s - 1 + g(s) at n = r N.
 
@@ -332,14 +296,16 @@ def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
 
     s, r and alpha are mpf; the work runs at the caller's working precision.
     a0 = (s - 1 + g)/(12 s) solves the fluid cubic, with
-    g = sqrt(1 - 2s + 12rs + s^2); a1 = -B(a0)/A'(a0) agrees with the closed
-    parity-dependent forms; a2 comes from the next order of the same
-    expansion,
+    g = sqrt(1 - 2s + 12rs + s^2).  Substituting the expansion into the ODE
+    residual N^2 S2 + N S1 + S0 + T (``recurrence._ode_slices`` and the
+    beta'-bearing term T) and collecting powers of N gives
+    a1 = -S1(a0)/S2'(a0), which agrees with the closed parity-dependent forms,
+    and at the next order
 
-        a2 = -[ A''(a0) a1^2/2 + B'(a0) a1 + C(a0, a0', a0'') ] / A'(a0),
+        a2 = -[ S2''(a0) a1^2/2 + S1'(a0) a1 + S0(a0) + T(a0, a0', a0'') ] / S2'(a0).
 
-    with C the derivative-bearing part of the ODE.  a1 and a2 blow up on the
-    locus f(s) = 1 - 2s - 4rs + s^2 = 0, reported as an explicit error.
+    Within 1e-8 of the locus f(s) = 1 - 2s - 4rs + s^2 = 0 it raises
+    SingularCoefficientError.
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
@@ -353,14 +319,13 @@ def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
     a0 = gt / (12 * s)
     gp = (s + 6 * r - 1) / g
     gpp = (g * g - (s + 6 * r - 1) ** 2) / g ** 3
-    u, up, upp = s - 1 + g, 1 + gp, gpp
-    a0p = (s * up - u) / (12 * s ** 2)
-    a0pp = (s * s * upp - 2 * s * up + 2 * u) / (12 * s ** 3)
-    A_d1, A_d2, B, B_d1, c_const = _ode_operator_parts(s, r, parity, alpha)
-    a1 = -B(a0) / A_d1(a0)
-    c_val = (a0 * a0pp - a0p ** 2 / 2 + (2 + s) * a0 * a0p / (s * (1 + s))
-             + (3 - s) * a0 ** 2 / (8 * s ** 2 * (1 + s)) + c_const)
-    a2 = -(A_d2(a0) * a1 ** 2 / 2 + B_d1(a0) * a1 + c_val) / A_d1(a0)
+    a0p = (s * (1 + gp) - gt) / (12 * s ** 2)
+    a0pp = (s * s * gpp - 2 * s * (1 + gp) + 2 * gt) / (12 * s ** 3)
+    s2, s1, s0 = _ode_slices(s, r, alpha, 0 if parity == "even" else 1)
+    s2_d1 = _laurent(s2, a0, 1)
+    a1 = -_laurent(s1, a0) / s2_d1
+    c_val = _laurent(s0, a0) + _ode_beta_prime_term(s, a0, a0p, a0pp)
+    a2 = -(_laurent(s2, a0, 2) * a1 ** 2 / 2 + _laurent(s1, a0, 1) * a1 + c_val) / s2_d1
     return DoubleScalingData(r=r, g_s=g, g_tilde=gt, f_s=f_s, a0=a0, a0p=a0p,
                              a1=a1, a2=a2)
 

@@ -16,13 +16,17 @@ Asymptotic side.  With n = r N and N -> infinity,
 and integrating over s in [0, 1] connects D_n(1) to the exactly known D_n(0).
 ``appendix_b_coefficients`` evaluates the four coefficient functions:
 
-* A(s) and D(s) are explicit polynomial/surd expressions (transcribed, and
-  confirmed against the expansion machinery to full precision);
-* B(s) and C(s) are assembled from the generating construction itself --
-  substitute beta = a0 + a1/N + a2/N^2 into the exact log-derivative and
-  collect powers of N -- because the printed closed forms for them fail the
-  N-fit cross-check that ``fit_abc`` performs against exact data.  B(s) comes
-  out parity-independent with integral -r alpha (log 3 + log r - 1)/4.
+* A(s), B(s) and C(s) come from the generating construction itself: the
+  exact log-derivative is written once, as N-slices t2, t1, t0 (Laurent
+  polynomials in beta_n) plus its beta_n' term, and substituting
+  beta = a0 + a1/N + a2/N^2 (``asymptotics.double_scaling_coefficients``)
+  and collecting powers of N gives A = t2(a0), B = t1(a0) and C; t2'(a0)
+  vanishes because t2' is proportional to the ODE's N^2 slice.
+  The printed closed forms for B and C fail the N-fit cross-check that
+  ``fit_abc`` performs against exact data.  B(s) comes out
+  parity-independent with integral -r alpha (log 3 + log r - 1)/4.
+* D(s) stays a transcribed polynomial/surd expression per parity, because
+  deriving it needs the N^-3 term of beta.
 
 ``logdet_expansion`` evaluates the large-n displays for log(D_n(1)/D_n(0)),
 log D_n(0) and log D_n(1) through their 1/n terms, with Barnes-G constant
@@ -41,7 +45,7 @@ from mpmath import mp, mpf, mpmathify, log, pi, matrix, lu_solve, fsum
 from .numerics import NumericContext, DomainError, barnes_g_log
 from .moments import WeightParams
 from .hankel import BetaSequence, beta_from_moments
-from .recurrence import beta_prime, delta_parity
+from .recurrence import beta_prime, delta_parity, _laurent
 from .asymptotics import double_scaling_coefficients, g_and_g_tilde
 
 
@@ -49,12 +53,40 @@ from .asymptotics import double_scaling_coefficients, g_and_g_tilde
 # exact logarithmic derivative
 # ---------------------------------------------------------------------------
 
+def _logdet_slices(s, r, alpha, dn: int) -> tuple:
+    """The N^2, N^1 and N^0 parts t2, t1, t0 of the ``logdet_derivative_exact``
+    beta_n-terms at n = r N, as Laurent polynomials (pairs for ``_laurent``)."""
+    t2 = ((-1, (1 + s) * r * r / (32 * s * s)),
+          (0, r * (s * s - 1) / (8 * s * s) - r * r / (4 * s)),
+          (1, ((1 - s * s) ** 2 + 2 * r * s * (1 + s) ** 2) / (8 * s * s * (1 + s))),
+          (2, (1 - s * s) / (2 * s)), (3, (1 + s) / 2))
+    t1 = ((-1, r * alpha * dn * (1 + s) / (16 * s * s)),
+          (0, alpha * dn * (s * s - 1) / (8 * s * s) - r * alpha / (4 * s)),
+          (1, alpha * (2 - 3 * dn) * (1 + s) / (4 * s)))
+    t0 = ((-1, alpha * alpha * dn * (1 + s) / (32 * s * s)), (1, -1 / (2 * (1 + s))))
+    return t2, t1, t0
+
+
+def _logdet_beta_prime_term(s, b, bp) -> mpf:
+    """The part of d/ds log D_n that carries beta_n'."""
+    return -2 * s / (1 + s) * (s * bp ** 2 / b + bp)
+
+
 def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
                             betas: Optional[BetaSequence] = None) -> mpf:
-    """d/ds log D_n(s) in closed form from beta_n and beta_n'(s).
+    """d/ds log D_n(s) in closed form from beta_n and beta_n'(s):
 
-    Requires s > 0; beta_n and its neighbours come from the Hankel route and
-    beta_n' from the differential-difference equation.
+        [N (s^2-1)(n + alpha Delta_n) - 2 s n (n + alpha)]/(8 s^2)
+        + (1+s)(n + alpha Delta_n)^2/(32 s^2 beta_n)
+        + [N^2 (1-s^2)^2 + 2 N s (1+s)^2 (n + 2 alpha - 3 alpha Delta_n) - 4 s^2]
+          / (8 s^2 (1+s)) beta_n
+        + N^2 (1-s^2)/(2s) beta_n^2 + N^2 (1+s)/2 beta_n^3
+        - 2s/(1+s) (s beta_n'^2/beta_n + beta_n'),
+
+    as N^2 t2 + N t1 + t0 (``_logdet_slices`` at r = n/N) plus the
+    beta_n'-terms (``_logdet_beta_prime_term``).  Requires
+    s > 0; beta_n and its neighbours come from the Hankel route and beta_n'
+    from the differential-difference equation.
     """
     if params.s == 0:
         raise DomainError("the closed form is singular at s = 0")
@@ -62,18 +94,10 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
         betas = beta_from_moments(params, n + 1, ctx)
     with mp.workdps(betas.digits_used):
         s, a, N = params.mpfs()
-        dn = delta_parity(n)
         bn = betas[n]
-        bp = beta_prime(n, betas, params)
-        total = (N * (s * s - 1) * (n + a * dn) - 2 * s * n * (n + a)) / (8 * s * s)
-        total += (1 + s) * (n + a * dn) ** 2 / (32 * s * s * bn)
-        total += ((N ** 2 * (1 - s * s) ** 2
-                   + 2 * N * s * (1 + s) ** 2 * (n + 2 * a - 3 * a * dn)
-                   - 4 * s * s) / (8 * s * s * (1 + s)) * bn)
-        total += N ** 2 * (1 - s * s) / (2 * s) * bn ** 2
-        total += N ** 2 * (1 + s) / 2 * bn ** 3
-        total -= 2 * s / (1 + s) * (s * bp ** 2 / bn + bp)
-        return +total
+        t2, t1, t0 = _logdet_slices(s, n / N, a, delta_parity(n))
+        return +(N ** 2 * _laurent(t2, bn) + N * _laurent(t1, bn) + _laurent(t0, bn)
+                 + _logdet_beta_prime_term(s, bn, beta_prime(n, betas, params)))
 
 
 def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
@@ -111,13 +135,8 @@ class AppendixBCoefficients:
 
 
 def _a_coefficient(s, r) -> mpf:
-    """A(s): the N^2 coefficient, an explicit expression in g~ = s - 1 + g."""
-    _, gt = g_and_g_tilde(s, r)
-    return (3 * r ** 2 * (1 + s) / (8 * s * gt)
-            - r * (1 + 2 * r * s - s * s) / (8 * s ** 2)
-            + (1 + s) * (1 - 2 * s + 2 * r * s + s * s) * gt / (96 * s ** 3)
-            + (1 - s * s) * gt ** 2 / (288 * s ** 3)
-            + (1 + s) * gt ** 3 / (3456 * s ** 3))
+    """A(s) = t2(a0): the N^2 slice of d/ds log D_n at the fluid solution a0."""
+    return _laurent(_logdet_slices(s, r, 0, 0)[0], g_and_g_tilde(s, r)[1] / (12 * s))
 
 
 def _d_coefficient(s, r, alpha, parity: str) -> mpf:
@@ -174,68 +193,42 @@ def _d_coefficient(s, r, alpha, parity: str) -> mpf:
     return d0 * (d1 + d2)
 
 
-def _t_operator_parts(s, r, alpha, dn: int):
-    """N^2 / N^1 / N^0 parts of the exact log-derivative as functions of beta."""
-    def t2(x):
-        return (r * (s * s - 1) / (8 * s * s) - r * r / (4 * s)
-                + (1 + s) * r * r / (32 * s * s * x)
-                + ((1 - s * s) ** 2 + 2 * r * s * (1 + s) ** 2)
-                / (8 * s * s * (1 + s)) * x
-                + (1 - s * s) * x * x / (2 * s) + (1 + s) * x ** 3 / 2)
-
-    def t2_d1(x):
-        return (-(1 + s) * r * r / (32 * s * s * x * x)
-                + ((1 - s * s) ** 2 + 2 * r * s * (1 + s) ** 2) / (8 * s * s * (1 + s))
-                + (1 - s * s) * x / s + 3 * (1 + s) * x * x / 2)
-
-    def t2_d2(x):
-        return (1 + s) * r * r / (16 * s * s * x ** 3) + (1 - s * s) / s + 3 * (1 + s) * x
-
-    def t1(x):
-        return (alpha * dn * (s * s - 1) / (8 * s * s) - r * alpha / (4 * s)
-                + r * alpha * dn * (1 + s) / (16 * s * s * x)
-                + alpha * (2 - 3 * dn) * (1 + s) * x / (4 * s))
-
-    def t1_d1(x):
-        return (-r * alpha * dn * (1 + s) / (16 * s * s * x * x)
-                + alpha * (2 - 3 * dn) * (1 + s) / (4 * s))
-
-    def t0(x, xp):
-        return (alpha * alpha * dn * (1 + s) / (32 * s * s * x)
-                - x / (2 * (1 + s)) - (2 * s / (1 + s)) * (s * xp * xp / x + xp))
-
-    return t2, t2_d1, t2_d2, t1, t1_d1, t0
-
-
 def appendix_b_coefficients(s, r, alpha, parity: str,
                             ctx: Optional[NumericContext] = None) -> AppendixBCoefficients:
-    """Evaluate A(s), B(s), C(s), D(s) for n of the given parity at n = r N."""
-    digits = ctx.digits if ctx is not None else 50
-    with mp.workdps(digits + 15):
+    """Evaluate A(s), B(s), C(s), D(s) for n of the given parity at n = r N.
+
+    A(s), and B(s), C(s), D(s) for one parity or the other, lose about three
+    digits per decade of 1/s to cancellation, so the working precision grows
+    by one digit per bit of 1/s on top of 15 guard digits.
+    """
+    digits = (ctx.digits if ctx is not None else 50) + 15
+    s_in = mpmathify(s)
+    with mp.workdps(digits - mp.mag(s_in) if 0 < s_in < 1 else digits):
         s, r, alpha = mpmathify(s), mpmathify(r), mpmathify(alpha)
         if not (0 < s <= 1):
             raise DomainError("s must lie in (0, 1]")
         ds = double_scaling_coefficients(s, r, alpha, parity)
-        a0, a0p, a1, a2 = ds.a0, ds.a0p, ds.a1, ds.a2
-        dn = 0 if parity == "even" else 1
-        t2, t2_d1, t2_d2, t1, t1_d1, t0 = _t_operator_parts(s, r, alpha, dn)
-        a_s = _a_coefficient(s, r)
-        b_s = t2_d1(a0) * a1 + t1(a0)
-        c_s = t2_d1(a0) * a2 + t2_d2(a0) * a1 ** 2 / 2 + t1_d1(a0) * a1 + t0(a0, a0p)
+        a0, a0p, a1 = ds.a0, ds.a0p, ds.a1
+        t2, t1, t0 = _logdet_slices(s, r, alpha, 0 if parity == "even" else 1)
+        # t2'(x) = -4 s^2 S2(x)/((1+s) x) with S2 the ODE's N^2 slice, so
+        # t2'(a0) = 0 and neither a1 enters B nor a2 enters C
+        a_s = _laurent(t2, a0)
+        b_s = _laurent(t1, a0)
+        c_s = (_laurent(t2, a0, 2) * a1 ** 2 / 2 + _laurent(t1, a0, 1) * a1
+               + _laurent(t0, a0) + _logdet_beta_prime_term(s, a0, a0p))
         d_s = _d_coefficient(s, r, alpha, parity)
         return AppendixBCoefficients(s=+s, r=+r, alpha=+alpha, parity=parity,
                                      a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s,
                                      g_s=+ds.g_s, g_tilde=+ds.g_tilde, f_s=+ds.f_s)
 
 
-def fit_abc(s, r, alpha, big_ns, ctx: NumericContext,
-            subtract_d: bool = True) -> tuple:
+def fit_abc(s, r, alpha, big_ns, ctx: NumericContext) -> tuple:
     """Recover (A, B, C) at fixed s by fitting exact d/ds log D_n over N values.
 
     Each N in ``big_ns`` must give an integer n = r N of one common parity.
-    With ``subtract_d`` the known D(s)/N term is removed first, leaving an
-    O(N^-2) model error; the recovered triple is the N-expansion cross-check
-    for the coefficient functions.
+    The known D(s)/N term is removed first, leaving an O(N^-2) model error;
+    the recovered triple is the N-expansion cross-check for the coefficient
+    functions.
     """
     ns = []
     for Nv in big_ns:
@@ -243,23 +236,17 @@ def fit_abc(s, r, alpha, big_ns, ctx: NumericContext,
         if n != int(n):
             raise DomainError(f"r*N = {n} is not an integer")
         ns.append(int(n))
-    parities = {n % 2 for n in ns}
-    if len(parities) != 1:
+    if len({n % 2 for n in ns}) != 1:
         raise DomainError("all fitted n must share one parity")
     parity = "even" if ns[0] % 2 == 0 else "odd"
     with mp.workdps(ctx.digits + 10):
+        d_s = appendix_b_coefficients(s, r, alpha, parity, ctx).d_s
         rows = matrix(len(big_ns), 3)
         rhs = matrix(len(big_ns), 1)
         for i, (Nv, n) in enumerate(zip(big_ns, ns)):
-            params = WeightParams(s, alpha, Nv)
-            value = logdet_derivative_exact(n, params, ctx)
-            if subtract_d:
-                coeff = appendix_b_coefficients(s, r, alpha, parity, ctx)
-                value -= coeff.d_s / mpmathify(Nv)
-            rhs[i] = value
-            rows[i, 0] = mpmathify(Nv) ** 2
-            rows[i, 1] = mpmathify(Nv)
-            rows[i, 2] = 1
+            Nm = mpmathify(Nv)
+            rhs[i] = logdet_derivative_exact(n, WeightParams(s, alpha, Nv), ctx) - d_s / Nm
+            rows[i, 0], rows[i, 1], rows[i, 2] = Nm ** 2, Nm, 1
         sol = lu_solve(rows, rhs)
         return +sol[0], +sol[1], +sol[2]
 

@@ -21,7 +21,7 @@ determinant asymptotics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Optional
 
 from mpmath import mp, mpf, mpmathify, log, pi, loggamma, fsum

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from mpmath import mp, mpf, mpmathify, quad, inf, loggamma, log, barnesg
 
@@ -88,37 +88,28 @@ def fraction_to_mpf(x: Fraction) -> mpf:
 
 @dataclass(frozen=True)
 class NumericContext:
-    """Working precision and tolerance policy.
+    """Working precision and the tolerance policy derived from it.
 
     digits     : decimal working precision (>= 30).
-    quad_tol   : relative tolerance for adaptive quadrature, >= 10**(-digits+10).
-    diff_step  : relative step for central differences, in (0, 1e-2].  The
-                 default 10**(-digits//5) balances the h**4 truncation error of
-                 the fourth-order stencils against roundoff at ``digits``.
+    quad_tol   : relative tolerance for adaptive quadrature, 10**(-digits+10).
+    diff_step  : relative step for central differences, 10**(-max(2, digits//5)),
+                 which balances the h**4 truncation error of the fourth-order
+                 stencils against roundoff at ``digits``.
     """
 
     digits: int = 60
-    quad_tol: Fraction = None  # type: ignore[assignment]
-    diff_step: Fraction = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.digits < 30:
             raise DomainError(f"digits must be >= 30, got {self.digits}")
-        if self.quad_tol is None:
-            object.__setattr__(self, "quad_tol", Fraction(1, 10 ** (self.digits - 10)))
-        else:
-            object.__setattr__(self, "quad_tol", to_fraction(self.quad_tol))
-        if self.quad_tol < Fraction(1, 10 ** (self.digits - 10)):
-            raise DomainError("quad_tol below what the working precision can support")
-        if self.diff_step is None:
-            object.__setattr__(self, "diff_step", Fraction(1, 10 ** max(2, self.digits // 5)))
-        else:
-            object.__setattr__(self, "diff_step", to_fraction(self.diff_step))
-        if not (0 < self.diff_step <= Fraction(1, 100)):
-            raise DomainError("diff_step must lie in (0, 1e-2]")
 
-    def with_digits(self, digits: int) -> "NumericContext":
-        return NumericContext(digits=digits)
+    @property
+    def quad_tol(self) -> Fraction:
+        return Fraction(1, 10 ** (self.digits - 10))
+
+    @property
+    def diff_step(self) -> Fraction:
+        return Fraction(1, 10 ** max(2, self.digits // 5))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, sqrt, exp, fsum, quad, inf
+from mpmath import mp, mpf, mpmathify, sqrt, fsum, quad, inf
 
 from .numerics import NumericContext, DomainError, PoleError
 from .moments import WeightParams
-from .hankel import BetaSequence
+from .hankel import BetaSequence, beta_from_moments
 from .recurrence import delta_parity
 
 
@@ -317,20 +317,16 @@ def heun_operator_residual(hp: HeunParameters, params: WeightParams,
 # orthogonality oracle
 # ---------------------------------------------------------------------------
 
-def orthogonality_check(n_max: int, params: WeightParams, ctx: NumericContext,
-                        betas: Optional[BetaSequence] = None,
-                        hs: Optional[Sequence] = None) -> list[list]:
+def orthogonality_check(n_max: int, params: WeightParams,
+                        ctx: NumericContext) -> list[list]:
     """Normalized Gram matrix G_jk = int P_j P_k w / sqrt(h_j h_k) by quadrature.
 
     Diagonal entries should be 1 and off-diagonal entries 0 to quadrature
     accuracy; this is the direct integral oracle for the whole construction.
+    The norms h_j are the Hankel pivots that produced the betas.
     """
-    from .hankel import beta_from_moments, h_sequence
     with mp.workdps(ctx.digits + 15):
-        if betas is None:
-            betas = beta_from_moments(params, n_max + 1, ctx)
-        if hs is None:
-            hs = h_sequence(params, n_max + 1, ctx).h
+        betas = beta_from_moments(params, n_max + 1, ctx)
         polys = build_polynomials(betas, n_max)
         s, a, N = params.mpfs()
 
@@ -341,6 +337,6 @@ def orthogonality_check(n_max: int, params: WeightParams, ctx: NumericContext,
                     return (eval_poly(polys[_j], x) * eval_poly(polys[_k], x)
                             * params.weight(x))
                 val = quad(f, [-inf, 0, inf])
-                g = val / sqrt(hs[j] * hs[k])
+                g = val / sqrt(betas.hs[j] * betas.hs[k])
                 gram[j][k] = gram[k][j] = g
         return gram

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, isfinite
+from mpmath import mp, mpf, mpmathify, isfinite, fsum
 
-from .numerics import NumericContext, DomainError, fraction_to_mpf
-from .moments import WeightParams, mu0, mu0_gaussian
-from .hankel import BetaSequence
+from .numerics import NumericContext, DomainError
+from .moments import WeightParams, mu0
+from .hankel import BetaSequence, beta_from_moments
 
 
 def delta_parity(n: int) -> int:
@@ -98,9 +98,9 @@ def beta1_initial(params: WeightParams, ctx: NumericContext) -> mpf:
         return mu0(params.shifted(2), ctx) / mu0(params, ctx)
 
 
-def dpi_forward(params: WeightParams, beta1, n_max: int, ctx: NumericContext,
-                beta0=0) -> BetaSequence:
-    """Iterate the dP_I forward from (beta_0, beta_1) up to beta_{n_max}.
+def dpi_forward(params: WeightParams, beta1, n_max: int,
+                ctx: NumericContext) -> BetaSequence:
+    """Iterate the dP_I forward from (beta_0, beta_1) = (0, beta1) up to beta_{n_max}.
 
     Solves beta_{n+1} = (n + alpha Delta_n)/(4 N s beta_n) - beta_n - beta_{n-1} - u.
     Halts early when some beta_n <= 0 or stops being finite, recording the
@@ -113,7 +113,7 @@ def dpi_forward(params: WeightParams, beta1, n_max: int, ctx: NumericContext,
     with mp.workdps(ctx.digits):
         s, a, N = params.mpfs()
         u = (1 - s) / (2 * s)
-        betas = [mpmathify(beta0), mpmathify(beta1)]
+        betas = [mp.zero, mpmathify(beta1)]
         failure = None
         if not (betas[1] > 0):
             failure = 1
@@ -183,38 +183,59 @@ def beta_second(n: int, betas, params: WeightParams) -> mpf:
     return (bp_n * E + betas[n] * Ep) / (2 * s) - betas[n] * E / (2 * s * s)
 
 
+def _laurent(terms, x, d: int = 0) -> mpf:
+    """sum c x^k over the (k, c) pairs of a Laurent polynomial in x, or its
+    d-th x-derivative for d = 1 or 2."""
+    return fsum(c * (1, k, k * (k - 1))[d] * x ** (k - d) for k, c in terms)
+
+
+def _ode_slices(s, r, alpha, dn: int) -> tuple:
+    """The N^2, N^1 and N^0 parts of the ``ode25_residual`` beta-terms at
+    n = r N, as Laurent polynomials in beta (pairs for ``_laurent``)."""
+    c1 = (1 + s) ** 2
+    s2 = ((3, -3 * c1 / (8 * s ** 2)), (2, -c1 * (1 - s) / (4 * s ** 3)),
+          (1, -c1 * ((1 - s) ** 2 + 2 * r * s) / (32 * s ** 4)),
+          (-1, c1 * r * r / (128 * s ** 4)))
+    s1 = ((1, -alpha * (2 - 3 * dn) * c1 / (16 * s ** 3)),
+          (-1, r * alpha * dn * c1 / (64 * s ** 4)))
+    s0 = ((1, (3 - s) / (8 * s * s * (1 + s))),
+          (-1, alpha ** 2 * dn * c1 / (128 * s ** 4)))
+    return s2, s1, s0
+
+
+def _ode_beta_prime_term(s, b, bp, bpp) -> mpf:
+    """The part of the ODE residual that carries beta' and beta''."""
+    return bpp - bp ** 2 / (2 * b) + (2 + s) / (s * (1 + s)) * bp
+
+
 def ode25_residual(n: int, params: WeightParams, ctx: NumericContext,
                    betas: Optional[BetaSequence] = None) -> mpf:
-    """Signed residual beta_n'' - RHS of the second-order ODE in s.
+    """Signed residual of the second-order ODE in s,
 
-    All inputs are analytic: beta_{n-2}..beta_{n+2} from the Hankel route,
-    beta_n' from the differential-difference equation, beta_n'' from its
-    analytic derivative.  The residual is pure round-off when the printed
-    equation is consistent.
+        beta'' = beta'^2/(2 beta) - (2+s)/(s(1+s)) beta'
+                 + 3 N^2 (1+s)^2/(8 s^2) beta^3 + N^2 (1+s)^2 (1-s)/(4 s^3) beta^2
+                 + [(N^2 (1-s)^2 (1+s)^3 - 4 s^2 (3-s))/(32 s^4 (1+s))
+                    + N (1+s)^2 p_n/(16 s^3)] beta - (1+s)^2 q_n/(128 s^4 beta),
+
+    as N^2 S2 + N S1 + S0 (``_ode_slices`` at r = n/N) plus the beta'-terms
+    (``_ode_beta_prime_term``).  All inputs are
+    analytic: beta_{n-2}..beta_{n+2} from the Hankel route, beta_n' from the
+    differential-difference equation, beta_n'' from its analytic derivative.
+    The residual is pure round-off when the printed equation is consistent.
     """
     if params.s == 0:
         raise DomainError("the ODE is singular at s = 0")
     if n < 2:
         raise DomainError("need n >= 2 (the window uses beta_{n-2})")
-    from .hankel import beta_from_moments
     if betas is None:
         betas = beta_from_moments(params, n + 2, ctx)
     with mp.workdps(betas.digits_used):
         s, a, N = params.mpfs()
-        par = ParityData.for_index(n, params.alpha)
-        pn, qn = fraction_to_mpf(par.p_n), fraction_to_mpf(par.q_n)
         bn = betas[n]
-        bp = beta_prime(n, betas, params)
-        bpp = beta_second(n, betas, params)
-        rhs = (bp ** 2 / (2 * bn)
-               - (2 + s) / (s * (1 + s)) * bp
-               + 3 * N ** 2 * (1 + s) ** 2 / (8 * s ** 2) * bn ** 3
-               + N ** 2 * (1 + s) ** 2 * (1 - s) / (4 * s ** 3) * bn ** 2
-               + ((N ** 2 * (1 - s) ** 2 * (1 + s) ** 3 - 4 * s ** 2 * (3 - s))
-                  / (32 * s ** 4 * (1 + s))
-                  + N * (1 + s) ** 2 / (16 * s ** 3) * pn) * bn
-               - (1 + s) ** 2 * qn / (128 * s ** 4 * bn))
-        return +(bpp - rhs)
+        s2, s1, s0 = _ode_slices(s, n / N, a, delta_parity(n))
+        return +(N ** 2 * _laurent(s2, bn) + N * _laurent(s1, bn) + _laurent(s0, bn)
+                 + _ode_beta_prime_term(s, bn, beta_prime(n, betas, params),
+                                        beta_second(n, betas, params)))
 
 
 def upper_bound(n: int, params: WeightParams, ctx: Optional[NumericContext] = None) -> mpf:
@@ -251,7 +272,7 @@ def sensitivity_run(params: WeightParams, epsilon, n_max: int,
     """
     ctx = ctx or NumericContext(digits=500)
     with mp.workdps(ctx.digits + 20):
-        b1 = beta1_initial(params, ctx.with_digits(ctx.digits + 20)) + mpmathify(epsilon)
+        b1 = beta1_initial(params, NumericContext(digits=ctx.digits + 20)) + mpmathify(epsilon)
     seq = dpi_forward(params, b1, n_max, ctx)
     return SensitivityRun(params=params, epsilon=str(epsilon), digits=ctx.digits,
                           first_failure_index=seq.failure_index,

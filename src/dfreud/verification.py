@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Optional
 
-from mpmath import mp, mpf, mpmathify, sqrt, log, nstr, fsum
+from mpmath import mp, mpf, mpmathify, sqrt, log, nstr
 
 from .numerics import NumericContext, central_difference
 from .moments import WeightParams

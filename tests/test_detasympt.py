@@ -100,6 +100,30 @@ class TestAppendixB:
             assert abs(even.d_s - mpf("0.08385306122448979")) < mpf("1e-15")
             assert abs(odd.d_s + mpf("0.02635102041")) < mpf("1e-10")
 
+    def test_t2_derivative_is_proportional_to_ode_slice(self):
+        # t2'(x) = -4 s^2 S2(x)/((1+s) x): the reason B and C need no t2'(a0)
+        from dfreud.detasympt import _logdet_slices
+        from dfreud.recurrence import _laurent, _ode_slices
+        with mp.workdps(60):
+            for s, r, x in (("0.01", "0.3", "0.2"), ("0.5", "1", "3"), ("1", "0.8", "0.05")):
+                s, r, x = mpf(s), mpf(r), mpf(x)
+                t2_d1 = _laurent(_logdet_slices(s, r, 1, 1)[0], x, 1)
+                s2 = _laurent(_ode_slices(s, r, 1, 1)[0], x)
+                assert abs(t2_d1 + 4 * s * s * s2 / ((1 + s) * x)) <= mpf(10) ** -50 * abs(t2_d1)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("s", ["1e-8", "1e-12"])
+    def test_small_s_keeps_digits(self, s, parity):
+        # A(s), and B, C, D for one parity or the other, cancel about three
+        # digits per decade of 1/s; the context's digits must survive
+        digits = 50
+        lo = appendix_b_coefficients(s, 1, 1, parity, NumericContext(digits=digits))
+        hi = appendix_b_coefficients(s, 1, 1, parity, NumericContext(digits=digits + 150))
+        with mp.workdps(digits + 150):
+            for name in ("a_s", "b_s", "c_s", "d_s"):
+                ref = getattr(hi, name)
+                assert abs(getattr(lo, name) - ref) <= mpf(10) ** -digits * abs(ref), name
+
     def test_singularities_raise(self):
         with pytest.raises(SingularCoefficientError):
             appendix_b_coefficients("0.5", "0.125", 1, "odd")  # f(s) = 0

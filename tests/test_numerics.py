@@ -18,10 +18,6 @@ class TestNumericContext:
         with pytest.raises(DomainError):
             NumericContext(digits=10)
 
-    def test_quad_tol_below_precision(self):
-        with pytest.raises(DomainError):
-            NumericContext(digits=30, quad_tol=Fraction(1, 10 ** 40))
-
 
 class TestGammaLog:
     def test_at_one(self, ctx60):
@@ -131,15 +127,16 @@ class TestCentralDifference:
         assert_close(central_difference(exp, 0, 2, ctx60), 1, mpf(10) ** -30)
 
     def test_convergence_order(self):
-        # halving h cuts the error by ~2^4 = 16 on sin at 0.3
+        # the 50- and 55-digit contexts step by 1e-10 and 1e-11; a tenth of
+        # the step cuts the error of a fourth-order stencil by ~10^4 on sin at 0.3
         with mp.workdps(60):
             x0 = mpf("0.3")
             errs = []
-            for step in (Fraction(1, 10 ** 4), Fraction(1, 2 * 10 ** 4)):
-                ctx = NumericContext(digits=50, diff_step=step)
+            for digits in (50, 55):
+                ctx = NumericContext(digits=digits)
                 errs.append(abs(central_difference(sin, x0, 1, ctx) - cos(x0)))
             ratio = errs[0] / errs[1]
-            assert 10 < ratio < 24
+            assert 6e3 <= ratio <= 1.6e4
 
     def test_order_validation(self, ctx60):
         with pytest.raises(DomainError):
