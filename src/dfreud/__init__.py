@@ -21,8 +21,7 @@ from .numerics import (NumericContext, DomainError, IntegrationError,
                        gamma_log, barnes_g_log, integrate_semi_infinite,
                        central_difference)
 from .moments import (WeightParams, MomentTable, mu0_quadrature, mu0_closed_form,
-                      mu0_gaussian, mu0, parabolic_cylinder_D,
-                      parabolic_cylinder_D_integral, moment_table)
+                      mu0_gaussian, mu0, parabolic_cylinder_D, moment_table)
 from .hankel import (HankelData, BetaSequence, h_sequence, beta_from_moments,
                      logdet, mehta_normand_logD0)
 from .recurrence import (ParityData, DpiParameters, SensitivityRun, beta_at_s0,

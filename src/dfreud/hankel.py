@@ -1,19 +1,19 @@
 """Hankel determinants and the moment-matrix route to recurrence coefficients.
 
-The n x n Hankel (moment) matrix M = (mu_{j+k}) of a positive weight is
-symmetric positive definite, and its LDL^T pivots are exactly the squared
-norms h_0, ..., h_{n-1} of the monic orthogonal polynomials:
+The squared norms h_0, ..., h_{n-1} of the monic orthogonal polynomials are
+the pivots of the n x n Hankel (moment) matrix M = (mu_{j+k}):
 
     D_n(s) = det M = prod_j h_j,        beta_n = h_n / h_{n-1}.
 
-This is the slow-but-stable "oracle" route against which the discrete-Painleve
-recursion and every asymptotic expansion are checked.
-
-Hankel matrices of smooth weights are exponentially ill-conditioned, so the
-factorization runs at an elevated working precision and verifies itself by
-recomputing with extra guard digits; on a non-positive pivot or on
-disagreement between the two runs the precision is doubled, up to a hard cap
-(default 2000 digits).
+This is the "oracle" route against which the discrete-Painleve recursion and
+every asymptotic expansion are checked.  The pivots come from Gautschi's
+Chebyshev algorithm (SIAM J. Sci. Stat. Comput. 3, 1982) in O(n^2) on two rows,
+never forming M; for an even weight it reads sigma_0(l) = mu_l, h_k = sigma_k(k),
+sigma_k(l) = sigma_{k-1}(l+1) - beta_{k-1} sigma_{k-2}(l) with sigma_{-1} = 0.
+The map from moments to pivots is exponentially ill-conditioned, so pivots are
+computed at an elevated working precision and verified by recomputing with
+extra guard digits; on a non-positive pivot or on disagreement between the two
+runs the precision is doubled, up to a hard cap (default 2000 digits).
 
 ``mehta_normand_logD0`` is the exact closed form of log D_n(0) (a product of
 Gamma factors, valid for every n), used as the finite-n anchor for the
@@ -70,29 +70,27 @@ class BetaSequence:
 
 
 def _pivots(mus, n: int):
-    """LDL^T pivots of the Hankel matrix (mu_{j+k}); None marks a failed index."""
-    M = [[mus[j + k] for k in range(n)] for j in range(n)]
-    L = [[mp.zero] * n for _ in range(n)]
-    d = [mp.zero] * n
-    for j in range(n):
-        acc = M[j][j]
-        for k in range(j):
-            acc -= L[j][k] ** 2 * d[k]
-        d[j] = acc
-        if not (acc > 0):
-            return d[: j + 1], j
-        inv = 1 / acc
-        for i in range(j + 1, n):
-            acc2 = M[i][j]
-            for k in range(j):
-                acc2 -= L[i][k] * L[j][k] * d[k]
-            L[i][j] = acc2 * inv
-    return d, None
+    """h_0..h_{n-1} from mu_0..mu_{2n-2} by the symmetric Chebyshev algorithm:
+    (pivots, None), or (pivots up to k, k) at the first h_k <= 0."""
+    older, old = [mp.zero] * (2 * n - 1), list(mus[: 2 * n - 1])
+    h = [old[0]]
+    if not (h[0] > 0):
+        return h, 0
+    for k in range(1, n):
+        beta = h[k - 1] / h[k - 2] if k > 1 else mp.zero
+        row = [mp.zero] * (2 * n - 1)
+        for l in range(k, 2 * n - 1 - k, 2):    # sigma_k(l) = 0 for k + l odd
+            row[l] = old[l + 1] - beta * older[l]
+        h.append(row[k])
+        if not (row[k] > 0):
+            return h, k
+        older, old = old, row
+    return h, None
 
 
 def h_sequence(params: WeightParams, n: int, ctx: NumericContext,
                max_digits: int = DEFAULT_MAX_DIGITS) -> HankelData:
-    """h_0..h_{n-1} as verified LDL^T pivots of the n x n moment matrix.
+    """h_0..h_{n-1} as verified pivots of the n x n moment matrix.
 
     Working precision starts at ctx.digits plus a conditioning guard and the
     result is accepted only when a recomputation with 40 further digits agrees
@@ -108,14 +106,13 @@ def h_sequence(params: WeightParams, n: int, ctx: NumericContext,
         result = _attempt_pivots(params, n, work)
         check = _attempt_pivots(params, n, work + 40)
         if result is not None and check is not None:
-            h1, h2 = result, check
             with mp.workdps(30):
                 agree = all(abs(a - b) <= abs(b) * mpf(10) ** (-ctx.digits)
-                            for a, b in zip(h1, h2))
+                            for a, b in zip(result, check))
             if agree:
                 with mp.workdps(work):
-                    logdet = fsum(log(x) for x in h1)
-                return HankelData(params=params, n=n, h=tuple(h1),
+                    logdet = fsum(log(x) for x in result)
+                return HankelData(params=params, n=n, h=tuple(result),
                                   logdet=logdet, digits_used=work)
         work *= 2
 
@@ -123,10 +120,8 @@ def h_sequence(params: WeightParams, n: int, ctx: NumericContext,
 def _attempt_pivots(params: WeightParams, n: int, work: int):
     with mp.workdps(work):
         table = moment_table(params, 2 * n - 2, NumericContext(digits=work))
-        d, fail = _pivots(table.values, n)
-        if fail is not None:
-            return None
-        return [+x for x in d]
+        h, fail = _pivots(table.values, n)
+        return None if fail is not None else [+x for x in h]
 
 
 def beta_from_moments(params: WeightParams, n_max: int, ctx: NumericContext,

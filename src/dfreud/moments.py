@@ -17,18 +17,23 @@ mu_0 itself is computed two independent ways and cross-checked in the tests:
   valid for s > 0; at s = 0 the weight is generalized Gaussian and
   mu_0 = N^(-(a+1)/2) Gamma((a+1)/2) instead (``mu0_gaussian``).
 
-``moment_table`` builds mu_0..mu_max via the shifted-exponent identity with a
-single kernel, so all entries share one error model.  Odd entries are set to
-exact zero, never integrated, which keeps Hankel matrices free of spurious
-residuals.
+``moment_table`` takes mu_0 and mu_2 from ``mu0`` and runs the recurrence from
+integrating d/dx [x^(2k+1) w(x)] forward: A - B = 4N s mu_{2k+4} with
+A = (a + 2k + 1) mu_{2k} and B = 2N (1-s) mu_{2k+2}.  It is exact at s = 0 and
+free of cancellation at s = 1; for 0 < s < 1 a step loses log10(A / (A - B))
+digits, more as s falls.  Seeds and run carry the loss predicted from 53-bit
+ratios mu_{2k+2}/mu_{2k}, and a run that measures a larger loss is repeated
+with that guard.  ``source="quadrature"`` integrates each even entry on its own
+as the independent check.  Odd entries are exact zeros.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Literal
 
-from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, pcfd
+from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, log10, pcfd
 
 from .numerics import (NumericContext, DomainError, to_fraction, fraction_to_mpf,
                        integrate_semi_infinite)
@@ -114,28 +119,13 @@ def parabolic_cylinder_D(nu, z, ctx: NumericContext) -> mpf:
 
     which is the form the moment closed form rests on (here nu = -(a+1)/2 < 0
     always).  Evaluation itself uses mpmath's hypergeometric implementation;
-    the integral representation is kept alongside as an independent oracle.
+    the tests check it against the integral representation.
     """
     with mp.workdps(ctx.digits + 10):
         nu, z = mpmathify(nu), mpmathify(z)
         if nu >= 0:
             raise DomainError("representation requires nu < 0")
         return +pcfd(nu, z)
-
-
-def parabolic_cylinder_D_integral(nu, z, ctx: NumericContext) -> mpf:
-    """D_nu(z) straight from the integral representation (test oracle)."""
-    with mp.workdps(ctx.digits + 10):
-        nu, z = mpmathify(nu), mpmathify(z)
-        if nu >= 0:
-            raise DomainError("representation requires nu < 0")
-        p = -nu - 1
-
-        def integrand(t):
-            return t ** p * exp(-t * t / 2 - t * z)
-
-        integral = integrate_semi_infinite(integrand, ctx, singularity_power=float(p))
-        return exp(-z * z / 4) / gamma(-nu) * integral
 
 
 def mu0_gaussian(alpha, big_n, ctx: NumericContext) -> mpf:
@@ -164,21 +154,53 @@ def mu0(params: WeightParams, ctx: NumericContext) -> mpf:
     return mu0_closed_form(params, ctx)
 
 
+def _recurrence_loss(params: WeightParams, count: int) -> float:
+    """Digits lost computing mu_4..mu_{2(count-1)}, from the backward continued fraction
+    r_k = mu_{2k+2}/mu_{2k} = (a + 2k + 1) / (2N(1-s) + 4Ns r_{k+1}) at 53 bits."""
+    with mp.workprec(53):
+        s, a, n = params.mpfs()
+        c1, c2, top = 2 * n * (1 - s), 4 * n * s, a + 2 * count - 1
+        r = 2 * top / (c1 + sqrt(c1 * c1 + 4 * c2 * top))    # fixed point of the last step
+        amplification = mp.one
+        for k in reversed(range(count - 2)):
+            r, r_next = (a + 2 * k + 1) / (c1 + c2 * r), r
+            amplification *= (a + 2 * k + 1) / (c2 * r * r_next)    # A / (A - B)
+        return float(log10(amplification))
+
+
+def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list:
+    """mu_0, mu_2, ..., mu_{2(count-1)} to ctx.digits + 10 digits."""
+    lost = 0.0 if params.is_gaussian else _recurrence_loss(params, count)
+    while True:
+        seed_ctx = NumericContext(digits=ctx.digits + ceil(lost))
+        with mp.workdps(seed_ctx.digits + 10):
+            s, a, n = params.mpfs()
+            mus = [mu0(params.shifted(2 * k), seed_ctx) for k in range(min(count, 2))]
+            amplification = mp.one
+            for k in range(count - 2):
+                if s == 0:      # 2N mu_{2k+4} = (a + 2k + 3) mu_{2k+2}
+                    mus.append((a + 2 * k + 3) * mus[k + 1] / (2 * n))
+                    continue
+                big, small = (a + 2 * k + 1) * mus[k], 2 * n * (1 - s) * mus[k + 1]
+                diff = max(big - small, mp.eps * big)    # a lost sign is total loss
+                mus.append(diff / (4 * n * s))
+                amplification *= big / diff
+            measured = float(log10(amplification))
+        if measured <= lost + 1:
+            with mp.workdps(ctx.digits + 10):
+                return [+mu for mu in mus]
+        lost = measured
+
+
 def moment_table(params: WeightParams, max_order: int, ctx: NumericContext,
                  source: Source = "closed_form") -> MomentTable:
-    """mu_0..mu_{max_order}: even entries via mu_0 at alpha+2k, odd exact zeros."""
+    """mu_0..mu_{max_order}: even entries by the recurrence or each by quadrature."""
     if max_order < 0:
         raise DomainError("max_order must be nonnegative")
-    with mp.workdps(ctx.digits + 10):
-        values = []
-        for j in range(max_order + 1):
-            if j % 2 == 1:
-                values.append(mp.zero)
-                continue
-            shifted = params.shifted(j)
-            if source == "quadrature":
-                values.append(mu0_quadrature(shifted, ctx))
-            else:
-                values.append(mu0(shifted, ctx))
-        return MomentTable(params=params, values=tuple(values), source=source,
-                           digits_used=ctx.digits)
+    count = max_order // 2 + 1
+    if source == "quadrature":
+        evens = [mu0_quadrature(params.shifted(2 * k), ctx) for k in range(count)]
+    else:
+        evens = _even_moments(params, count, ctx)
+    values = tuple(evens[j // 2] if j % 2 == 0 else mp.zero for j in range(max_order + 1))
+    return MomentTable(params=params, values=values, source=source, digits_used=ctx.digits)

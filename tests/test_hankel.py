@@ -3,8 +3,9 @@ from mpmath import mp, mpf, mpmathify, sqrt, pi, log, gamma
 
 from dfreud import (NumericContext, WeightParams, DomainError, h_sequence,
                     beta_from_moments, mehta_normand_logD0, mu0_gaussian,
-                    beta_at_s0)
+                    beta_at_s0, beta1_initial, dpi_forward, moment_table)
 from conftest import assert_close
+from oracles import per_entry_table
 
 
 class TestHSequence:
@@ -75,6 +76,25 @@ class TestBetaFromMoments:
         assert seq.route == "hankel"
         assert all(b > 0 for b in seq.betas[1:])
         assert seq.hs is not None and len(seq.hs) == 16
+
+    @pytest.mark.parametrize("s", ["1/1000", "5/1000"])
+    def test_small_s_recurrence_guard(self, s, ctx100):
+        # The moment recurrence cancels 25-35 digits here.  Its guard keeps the
+        # table at 10^-digits, and the first Hankel attempt (100 + 20 + 2 * 15
+        # digits) passes its self-check without escalating.
+        params, n = WeightParams(s, 0, 8), 14
+        table = moment_table(params, 2 * n, ctx100)
+        oracle = per_entry_table(params, 2 * n, ctx100)
+        with mp.workdps(110):
+            for got, want in zip(table.values[::2], oracle.values[::2]):
+                assert abs(got - want) <= mpf(10) ** -100 * want
+        seq = beta_from_moments(params, n, ctx100)
+        assert seq.digits_used == 150
+        ref_ctx = NumericContext(digits=100 + 2 * n + 40)
+        ref = dpi_forward(params, beta1_initial(params, ref_ctx), n, ref_ctx)
+        with mp.workdps(ref_ctx.digits):
+            for j in range(1, n + 1):
+                assert abs(seq[j] - ref[j]) <= mpf(10) ** -100 * ref[j]
 
     def test_rejects_bad_order(self, ctx60):
         with pytest.raises(DomainError):

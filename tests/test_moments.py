@@ -2,9 +2,9 @@ import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma, exp
 
 from dfreud import (NumericContext, WeightParams, DomainError, mu0_quadrature,
-                    mu0_closed_form, mu0_gaussian, parabolic_cylinder_D,
-                    parabolic_cylinder_D_integral, moment_table)
+                    mu0_closed_form, mu0_gaussian, parabolic_cylinder_D, moment_table)
 from conftest import assert_close
+from oracles import parabolic_cylinder_D_integral
 
 
 class TestWeightParams:
