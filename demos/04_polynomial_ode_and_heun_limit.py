@@ -30,7 +30,7 @@ with mp.workdps(betas.digits_used):
         print(f"  n={n}: lowering {nstr(low, 3)}, S1 {nstr(r1, 3)}, "
               f"S2 {nstr(r2, 3)}, S2' {nstr(r2p, 3)}, ODE(rel) {nstr(ode, 3)}")
 
-print("\northogonality by direct quadrature, j,k <= 4 (max |G_jk|, j != k):")
+print("\northogonality against quadrature moments, j,k <= 4 (max |G_jk|, j != k):")
 gram = orthogonality_check(4, params, NumericContext(digits=50))
 with mp.workdps(50):
     worst = max(abs(gram[j][k]) for j in range(5) for k in range(5) if j != k)

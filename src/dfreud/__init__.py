@@ -24,7 +24,7 @@ from .moments import (WeightParams, MomentTable, mu0_quadrature, mu0_closed_form
                       mu0_gaussian, mu0, parabolic_cylinder_D, moment_table)
 from .hankel import (HankelData, BetaSequence, h_sequence, beta_from_moments,
                      logdet, mehta_normand_logD0)
-from .recurrence import (ParityData, DpiParameters, SensitivityRun, beta_at_s0,
+from .recurrence import (ParityData, SensitivityRun, beta_at_s0,
                          beta1_initial, dpi_forward, dpi_residual, beta_prime,
                          beta_second, ode25_residual, upper_bound, sensitivity_run,
                          delta_parity)

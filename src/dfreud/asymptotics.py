@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpf, mpmathify, sqrt, matrix, lu_solve, binomial, fsum
 
-from .numerics import NumericContext, DomainError, SingularCoefficientError, fraction_to_mpf
+from .numerics import NumericContext, DomainError, fraction_to_mpf
 from .moments import WeightParams
 from .recurrence import ParityData, _laurent, _ode_slices, _ode_beta_prime_term
 
@@ -278,9 +278,6 @@ class DoubleScalingData:
     a2: mpf
 
 
-_F_SINGULAR_TOL = 1e-8
-
-
 def g_and_g_tilde(s, r) -> tuple:
     """g(s) = sqrt(1 - 2s + 12rs + s^2) and g~(s) = s - 1 + g(s) at n = r N.
 
@@ -304,17 +301,14 @@ def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
 
         a2 = -[ S2''(a0) a1^2/2 + S1'(a0) a1 + S0(a0) + T(a0, a0', a0'') ] / S2'(a0).
 
-    Within 1e-8 of the locus f(s) = 1 - 2s - 4rs + s^2 = 0 it raises
-    SingularCoefficientError.
+    Nothing here divides by f(s) = 1 - 2s - 4rs + s^2, so a1 and a2 stay
+    finite where it vanishes.
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     if s <= 0:
         raise DomainError("double-scaling regime needs s > 0")
     f_s = 1 - 2 * s - 4 * r * s + s * s
-    if abs(f_s) < _F_SINGULAR_TOL:
-        raise SingularCoefficientError(
-            f"f(s) = {f_s} vanishes; a1, a2 are unusable at these parameters")
     g, gt = g_and_g_tilde(s, r)
     a0 = gt / (12 * s)
     gp = (s + 6 * r - 1) / g
@@ -369,20 +363,23 @@ class FluidEndpoint:
     a_mu: mpf
 
 
+def _fluid_root(mu, params: WeightParams) -> mpf:
+    """Positive root x = a^2 of (3/2) N s x^2 + N (1-s) x = mu; mu/N at s = 0."""
+    s, _, N = params.mpfs()
+    if s == 0:
+        return mu / N
+    disc = N * N * (1 - s) ** 2 + 6 * N * s * mu
+    # -N(1-s) + sqrt(disc), stabilised against cancellation as s -> 0
+    return ((disc - N * N * (1 - s) ** 2) / (sqrt(disc) + N * (1 - s))) / (3 * N * s)
+
+
 def coulomb_b_squared(n: int, params: WeightParams,
                       ctx: Optional[NumericContext] = None) -> mpf:
-    """Positive root b^2 = [s - 1 + sqrt((1-s)^2 + 6 s (2n+alpha)/N)]/(3s).
-
-    At s = 0 the root degenerates to its limit (2n + alpha)/N.
-    """
+    """b^2 = [s - 1 + sqrt((1-s)^2 + 6 s (2n+alpha)/N)]/(3s): the squared MRS
+    number at mu = 2n + alpha, with the limit (2n + alpha)/N at s = 0."""
     digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
     with mp.workdps(digits + 10):
-        s, a, N = params.mpfs()
-        if s == 0:
-            return (2 * n + a) / N
-        disc = (1 - s) ** 2 + 6 * s * (2 * n + a) / N
-        # s - 1 + sqrt(disc), stabilised against cancellation as s -> 0
-        return +((disc - (1 - s) ** 2) / (sqrt(disc) + (1 - s))) / (3 * s)
+        return _fluid_root(2 * n + fraction_to_mpf(params.alpha), params)
 
 
 def mrs_number(mu, params: WeightParams,
@@ -393,12 +390,7 @@ def mrs_number(mu, params: WeightParams,
         mu = mpmathify(mu)
         if mu <= 0:
             raise DomainError("mu must be positive")
-        s, a, N = params.mpfs()
-        if s == 0:
-            return sqrt(mu / N)
-        disc = N * N * (1 - s) ** 2 + 6 * N * s * mu
-        a_sq = ((disc - N * N * (1 - s) ** 2) / (sqrt(disc) + N * (1 - s))) / (3 * N * s)
-        return sqrt(a_sq)
+        return sqrt(_fluid_root(mu, params))
 
 
 def fluid_endpoint(n: int, params: WeightParams,

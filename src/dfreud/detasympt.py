@@ -42,7 +42,7 @@ from typing import Literal, Optional
 
 from mpmath import mp, mpf, mpmathify, log, pi, matrix, lu_solve, fsum
 
-from .numerics import NumericContext, DomainError, barnes_g_log
+from .numerics import NumericContext, DomainError, SingularCoefficientError, barnes_g_log
 from .moments import WeightParams
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import beta_prime, delta_parity, _laurent
@@ -139,8 +139,15 @@ def _a_coefficient(s, r) -> mpf:
     return _laurent(_logdet_slices(s, r, 0, 0)[0], g_and_g_tilde(s, r)[1] / (12 * s))
 
 
+_F_SINGULAR_TOL = 1e-8
+
+
 def _d_coefficient(s, r, alpha, parity: str) -> mpf:
-    """D(s): the 1/N coefficient, explicit polynomial forms per parity."""
+    """D(s): the 1/N coefficient, explicit polynomial forms per parity.
+
+    The odd form divides by f(s)^2, f(s) = 1 - 2s - 4rs + s^2, and raises
+    SingularCoefficientError within 1e-8 of f(s) = 0.
+    """
     g, gt = g_and_g_tilde(s, r)
     if parity == "even":
         bracket = 1 + 2 * g - 2 * s * (1 - 6 * r + g) + s * s
@@ -167,6 +174,8 @@ def _d_coefficient(s, r, alpha, parity: str) -> mpf:
                               + 21 * r * s ** 5 + s ** 6))
         return d0 * (d1 + d2)
     f = 1 - 2 * s - 4 * r * s + s * s
+    if abs(f) < _F_SINGULAR_TOL:
+        raise SingularCoefficientError(f"f(s) = {f} vanishes; the odd D(s) divides by f(s)^2")
     d0 = alpha / (4 * f * f * g ** 5)
     d1 = g * (1 - 4 * s + 56 * r * s + 5 * s ** 2 - 112 * r * s ** 2
               + 272 * r ** 2 * s ** 2 - 5 * s ** 4 + 112 * r * s ** 4

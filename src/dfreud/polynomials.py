@@ -29,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, sqrt, fsum, quad, inf
+from mpmath import mp, mpf, mpmathify, sqrt, fsum
+from mpmath import quad  # noqa: F401  -- unused here; bench/tracer.py spans polynomials.quad
 
 from .numerics import NumericContext, DomainError, PoleError
-from .moments import WeightParams
+from .moments import WeightParams, moment_table
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import delta_parity
 
@@ -319,24 +320,26 @@ def heun_operator_residual(hp: HeunParameters, params: WeightParams,
 
 def orthogonality_check(n_max: int, params: WeightParams,
                         ctx: NumericContext) -> list[list]:
-    """Normalized Gram matrix G_jk = int P_j P_k w / sqrt(h_j h_k) by quadrature.
+    """Normalized Gram matrix G_jk = int P_j P_k w / sqrt(h_j h_k) from quadrature moments.
 
-    Diagonal entries should be 1 and off-diagonal entries 0 to quadrature
-    accuracy; this is the direct integral oracle for the whole construction.
-    The norms h_j are the Hankel pivots that produced the betas.
+    By linearity int P_j P_k w = sum_ab c_ja c_kb mu_{a+b}, i.e. G = C M C^T
+    (Gautschi, Orthogonal Polynomials, OUP 2004, section 2.1), with C the
+    coefficient vectors of P_0..P_{n_max} and M the moment matrix.  The moments
+    come from ``moment_table(source="quadrature")``, independent of the
+    pcfd-and-recurrence moments behind the betas; the norms h_j are the Hankel
+    pivots that produced the betas.  The contraction cancels more digits as
+    n_max grows, so it runs at the betas' ``digits_used``.  Entries with j + k
+    odd are exact zeros: every term has a zero coefficient or an odd moment.
     """
-    with mp.workdps(ctx.digits + 15):
-        betas = beta_from_moments(params, n_max + 1, ctx)
-        polys = build_polynomials(betas, n_max)
-        s, a, N = params.mpfs()
-
+    betas = beta_from_moments(params, n_max + 1, ctx)
+    with mp.workdps(betas.digits_used):
+        coeffs = [p.coeffs for p in build_polynomials(betas, n_max)]
+        mus = moment_table(params, 2 * n_max, NumericContext(digits=betas.digits_used),
+                           source="quadrature").values
         gram = [[mp.zero] * (n_max + 1) for _ in range(n_max + 1)]
-        for j in range(n_max + 1):
-            for k in range(j + 1):
-                def f(x, _j=j, _k=k):
-                    return (eval_poly(polys[_j], x) * eval_poly(polys[_k], x)
-                            * params.weight(x))
-                val = quad(f, [-inf, 0, inf])
-                g = val / sqrt(betas.hs[j] * betas.hs[k])
-                gram[j][k] = gram[k][j] = g
+        for k, ck in enumerate(coeffs):
+            m_ck = [fsum(c * mus[a + b] for b, c in enumerate(ck)) for a in range(k + 1)]
+            for j in range(k + 1):
+                g = fsum(c * m for c, m in zip(coeffs[j], m_ck))
+                gram[j][k] = gram[k][j] = g / sqrt(betas.hs[j] * betas.hs[k])
         return gram

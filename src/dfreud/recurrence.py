@@ -59,25 +59,6 @@ class ParityData:
         return cls(n=n, delta_n=1, p_n=n - alpha, q_n=(n + alpha) ** 2)
 
 
-@dataclass(frozen=True)
-class DpiParameters:
-    """Normal-form parameters of the dP_I: beta_{n+1}+beta_n+beta_{n-1} =
-    (z_n + gamma (-1)^n)/beta_n + delta."""
-
-    n: int
-    z_n: Fraction
-    gamma_dpi: Fraction
-    delta_dpi: Fraction
-
-    @classmethod
-    def for_index(cls, n: int, params: WeightParams) -> "DpiParameters":
-        if params.s == 0:
-            raise DomainError("dP_I parameters are singular at s = 0")
-        s, a, N = params.s, params.alpha, params.big_n
-        return cls(n=n, z_n=Fraction(2 * n + a, 1) / (8 * N * s),
-                   gamma_dpi=-a / (8 * N * s), delta_dpi=(s - 1) / (2 * s))
-
-
 def beta_at_s0(n: int, alpha, big_n) -> Fraction:
     """Exact closed form at s = 0: beta_n = (n + alpha Delta_n)/(2N), beta_0 = 0."""
     if n < 0:

@@ -15,7 +15,7 @@ Criteria (digits and tolerances are fixed here, not calibrated later):
  5. The closed-form upper bound dominates every computed beta_n.
  6. beta_n / a_mu^2 -> 1/4 at the fluid normalisation mu = 2n + alpha.
  7. Ladder, compatibility and z-ODE residuals at 100 digits.
- 8. Orthogonality of the constructed polynomials by direct quadrature.
+ 8. Orthogonality of the constructed polynomials against quadrature moments.
  9. Exact log-derivative of D_n vs central differences.
 10. Coefficient-function integral and the N-fit recovery of A, B, C.
 11. Large-n displays for log D_n(0) against the exact Gamma product.
@@ -290,7 +290,7 @@ def criterion_7(digits: int = 100, n_max: int = 15) -> list[Check]:
 
 
 def criterion_8(digits: int = 80, n_max: int = 8) -> list[Check]:
-    """Off-diagonal normalized inner products below 1e-30 by direct quadrature."""
+    """Normalized inner products within 1e-30 of the identity, from quadrature moments."""
     ctx = NumericContext(digits=digits)
     params = WeightParams("0.5", "0.5", 1)
     with mp.workdps(digits + 20):

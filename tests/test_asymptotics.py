@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, fsum
 
 from dfreud import (NumericContext, WeightParams, DomainError,
-                    SingularCoefficientError, beta_at_s0, beta_from_moments,
+                    beta_at_s0, beta_from_moments,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
                     beta_large_n, double_scaling_data, beta_double_scaling,
                     coulomb_b_squared, mrs_number, fluid_endpoint)
@@ -188,10 +190,18 @@ class TestDoubleScaling:
             assert 4 < errs[20] / errs[40] < 16
             assert 4 < errs[21] / errs[41] < 16
 
-    def test_singular_f_reported(self):
-        # f(s) = 1 - 2s - 4rs + s^2 = 0 at r = (1-s)^2/(4s): s=1/2 -> r = 1/8
-        with pytest.raises(SingularCoefficientError):
-            double_scaling_data(5, 40, "0.5", 1)
+    @pytest.mark.parametrize("n, big_n, a1, a2", [
+        (5, 40, Fraction(5, 8), Fraction(-13, 64)),
+        (4, 32, Fraction(-1, 8), Fraction(23, 64)),
+    ], ids=["odd", "even"])
+    def test_f_zero_is_regular(self, n, big_n, a1, a2):
+        # f(s) = 1 - 2s - 4rs + s^2 = 0 at r = (1-s)^2/(4s): s=1/2 -> r = 1/8;
+        # nothing divides by f, so a0 = 1/12, a1 and a2 are exact rationals there
+        data = double_scaling_data(n, big_n, "0.5", 1)
+        with mp.workdps(60):
+            assert data.f_s == 0
+            for got, want in ((data.a0, Fraction(1, 12)), (data.a1, a1), (data.a2, a2)):
+                assert abs(got - mpf(want.numerator) / want.denominator) < mpf(10) ** -50
 
     def test_r_range(self):
         with pytest.raises(DomainError):

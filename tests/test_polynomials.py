@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, exp
 
@@ -6,6 +8,12 @@ from dfreud import (NumericContext, WeightParams, PoleError, beta_from_moments,
                     compatibility_residuals, sum_rule_residual, ode_coefficients,
                     pn_ode_residual, heun_parameters, heun_operator_residual,
                     orthogonality_check)
+from dfreud import polynomials
+
+
+def _gram_error(gram):
+    return max(abs(gram[j][k] - (1 if j == k else 0))
+               for j in range(len(gram)) for k in range(len(gram)))
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +263,35 @@ class TestOrthogonality:
                         assert abs(gram[j][k] - 1) < mpf(10) ** -20
                     else:
                         assert abs(gram[j][k]) < mpf(10) ** -20
+
+    @pytest.mark.parametrize("s, alpha, n_max, digits", [
+        ("0.7", "-0.6", 2, 30),     # the |x|^alpha kink at x = 0
+        (1, 3, 24, 40),             # the contraction's cancellation grows with n_max
+    ])
+    def test_gram_to_full_digits(self, s, alpha, n_max, digits):
+        gram = orthogonality_check(n_max, WeightParams(s, alpha, 1), NumericContext(digits))
+        with mp.workdps(digits + 10):
+            assert _gram_error(gram) <= mpf(10) ** -digits
+            assert all(gram[j][k] == 0 for j in range(n_max + 1)
+                       for k in range(n_max + 1) if (j + k) % 2)
+
+    def test_perturbed_beta_is_seen(self, monkeypatch):
+        # one beta off by 10^-(digits-10) relative must show in G, so the
+        # check can fail
+        digits = 40
+        exact = polynomials.beta_from_moments
+
+        def perturbed(*args, **kwargs):
+            seq = exact(*args, **kwargs)
+            betas = list(seq.betas)
+            with mp.workdps(seq.digits_used):
+                betas[3] *= 1 + mpf(10) ** -(digits - 10)
+            return replace(seq, betas=tuple(betas))
+
+        monkeypatch.setattr(polynomials, "beta_from_moments", perturbed)
+        gram = orthogonality_check(4, WeightParams("0.5", "1.5", 1), NumericContext(digits))
+        with mp.workdps(digits + 10):
+            assert _gram_error(gram) > mpf(10) ** -digits
 
     def test_h_ratio_identity(self):
         # h_n = beta_n h_{n-1} is the definition of beta_n

@@ -6,6 +6,9 @@
 * The recurrence moment table matches one pcfd call per entry, and the Hankel
   and dP_I routes give the same beta_n, over s in (0, 1], alpha in (-1, 5] and
   N in [1/4, 50].
+* Over the same box with alpha >= -0.9, the polynomials built from Hankel betas
+  are orthonormal against quadrature moments, and the Hankel betas lie below
+  the closed-form upper bound.
 """
 from fractions import Fraction
 
@@ -14,12 +17,14 @@ from mpmath import mp, mpf
 
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
-                    beta1_initial, dpi_forward)
+                    beta1_initial, dpi_forward, orthogonality_check, upper_bound)
 from oracles import per_entry_table
 
 CTX = NumericContext(digits=60)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 ROUTES = settings(PROPERTY, max_examples=40)
+GRAM = settings(PROPERTY, max_examples=3)
+BOUND = settings(PROPERTY, max_examples=30)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -28,11 +33,13 @@ params_box = st.builds(
     alphas,
     st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=100))
 n_range = st.integers(min_value=2, max_value=8)
-full_box = st.builds(
-    WeightParams,
-    st.builds(lambda m, e: Fraction(m, 10 ** e), st.integers(1, 100), st.integers(2, 4)),
-    alphas,
-    st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominator=100))
+small_s = st.builds(lambda m, e: Fraction(m, 10 ** e), st.integers(1, 100), st.integers(2, 4))
+big_ns = st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominator=100)
+full_box = st.builds(WeightParams, small_s, alphas, big_ns)
+# alpha >= -0.9: mu0_quadrature takes eight times as long at alpha = -0.99 as at -0.9
+quadrature_box = st.builds(
+    WeightParams, small_s,
+    st.fractions(min_value=Fraction(-9, 10), max_value=5, max_denominator=100), big_ns)
 
 
 @PROPERTY
@@ -73,3 +80,20 @@ def test_hankel_and_dpi_betas_agree(params, n):
     with mp.workdps(ref_ctx.digits):
         for j in range(1, n + 1):
             assert abs(hankel[j] - dpi[j]) <= mpf(10) ** -(CTX.digits - 20) * dpi[j]
+
+
+@GRAM
+@given(params=quadrature_box, n_max=st.integers(min_value=1, max_value=8))
+def test_gram_matrix_is_identity(params, n_max):
+    gram = orthogonality_check(n_max, params, CTX)
+    with mp.workdps(CTX.digits + 10):
+        assert all(abs(gram[j][k] - (1 if j == k else 0)) <= mpf(10) ** -CTX.digits
+                   for j in range(n_max + 1) for k in range(n_max + 1))
+
+
+@BOUND
+@given(params=quadrature_box, n=st.integers(min_value=1, max_value=20))
+def test_hankel_betas_below_upper_bound(params, n):
+    betas = beta_from_moments(params, n, CTX)
+    with mp.workdps(betas.digits_used):
+        assert all(betas[j] < upper_bound(j, params, CTX) for j in range(1, n + 1))

@@ -257,23 +257,3 @@ class TestMonotonicityStructure:
             print(f"monotonicity report (alpha=-1/2): within-parity violations "
                   f"{parity_violations}, full-sequence violations at "
                   f"{len(full_violations)} indices")
-
-
-class TestDpiParameters:
-    def test_normal_form_consistency(self):
-        # z_n + gamma (-1)^n = (n + alpha Delta_n)/(4 N s), exactly in rationals
-        from fractions import Fraction
-        from dfreud import DpiParameters, WeightParams
-        params = WeightParams("0.5", "1.5", 2)
-        for n in (4, 5):
-            dp = DpiParameters.for_index(n, params)
-            lhs = dp.z_n + dp.gamma_dpi * (-1) ** n
-            dn = n % 2
-            rhs = (Fraction(n) + params.alpha * dn) / (4 * params.big_n * params.s)
-            assert lhs == rhs
-            assert dp.delta_dpi == (params.s - 1) / (2 * params.s)
-
-    def test_singular_at_s0(self):
-        from dfreud import DpiParameters, WeightParams, DomainError
-        with pytest.raises(DomainError):
-            DpiParameters.for_index(3, WeightParams(0, 1, 1))
