@@ -7,7 +7,7 @@ the zeroth moment at a shifted exponent:
 
 mu_0 itself is computed two independent ways and cross-checked in the tests:
 
-* ``mu0_quadrature``  -- tanh-sinh quadrature of the substituted integral
+* ``mu0_quadrature``  -- exp-sinh quadrature of the substituted integral
   int_0^inf y^((a-1)/2) exp(-N [y + s (y^2 - y)]) dy  (y = x^2 absorbs |x|^a).
 * ``mu0_closed_form`` -- the parabolic-cylinder closed form
 
@@ -23,8 +23,9 @@ A = (a + 2k + 1) mu_{2k} and B = 2N (1-s) mu_{2k+2}.  It is exact at s = 0 and
 free of cancellation at s = 1; for 0 < s < 1 a step loses log10(A / (A - B))
 digits, more as s falls.  Seeds and run carry the loss predicted from 53-bit
 ratios mu_{2k+2}/mu_{2k}, and a run that measures a larger loss is repeated
-with that guard.  ``source="quadrature"`` integrates each even entry on its own
-as the independent check.  Odd entries are exact zeros.
+with that guard.  ``source="quadrature"`` takes every even entry from one exp-sinh
+rule (y^k more in the integral above) as the independent check.  Odd entries are
+exact zeros.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from typing import Literal
 from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, log10, pcfd
 
 from .numerics import (NumericContext, DomainError, to_fraction, fraction_to_mpf,
-                       integrate_semi_infinite)
+                       exp_sinh_moments)
 
 
 @dataclass(frozen=True)
@@ -99,15 +100,8 @@ class MomentTable:
 
 
 def mu0_quadrature(params: WeightParams, ctx: NumericContext) -> mpf:
-    """mu_0 by double-exponential quadrature of the substituted integral."""
-    with mp.workdps(ctx.digits + 10):
-        s, a, n = params.mpfs()
-        p = (a - 1) / 2
-
-        def integrand(y):
-            return y ** p * exp(-n * (y + s * (y * y - y)))
-
-        return integrate_semi_infinite(integrand, ctx, singularity_power=float(p))
+    """mu_0 by exp-sinh quadrature: the one-entry quadrature moment table."""
+    return moment_table(params, 0, ctx, source="quadrature").mu(0)
 
 
 def parabolic_cylinder_D(nu, z, ctx: NumericContext) -> mpf:
@@ -194,12 +188,14 @@ def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list
 
 def moment_table(params: WeightParams, max_order: int, ctx: NumericContext,
                  source: Source = "closed_form") -> MomentTable:
-    """mu_0..mu_{max_order}: even entries by the recurrence or each by quadrature."""
+    """mu_0..mu_{max_order}: even entries by the recurrence or by one exp-sinh rule."""
     if max_order < 0:
         raise DomainError("max_order must be nonnegative")
     count = max_order // 2 + 1
     if source == "quadrature":
-        evens = [mu0_quadrature(params.shifted(2 * k), ctx) for k in range(count)]
+        with mp.workdps(ctx.digits + 10):
+            s, a, n = params.mpfs()
+            evens = exp_sinh_moments((a - 1) / 2, lambda y: n * (y + s * (y * y - y)), count, ctx)
     else:
         evens = _even_moments(params, count, ctx)
     values = tuple(evens[j // 2] if j % 2 == 0 else mp.zero for j in range(max_order + 1))

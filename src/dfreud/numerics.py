@@ -15,20 +15,19 @@ Provided here:
   normalised by G(1) = G(2) = 1 with G(z+1) = Gamma(z) G(z).  Both come from
   mpmath (``loggamma``, ``barnesg``) evaluated with guard digits; so does the
   Glaisher constant ``mp.glaisher`` used by the determinant asymptotics.
-* ``integrate_semi_infinite`` -- double-exponential quadrature on (0, inf) with
-  an optional algebraic endpoint singularity y**p, p > -1, removed by the
-  substitution y = u**m before the quadrature sees it.
+* ``exp_sinh_moments`` -- the moments int_0^inf y^(p+k) exp(-g(y)) dy, k < count,
+  p > -1, from one exp-sinh (double-exponential) trapezoid whose nodes all the
+  moments share; the endpoint behaviour y^p needs no substitution.
 * ``central_difference`` -- fourth-order central stencils, used only as an
   independent oracle for analytic derivative formulas elsewhere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mp, mpf, mpmathify, quad, inf, loggamma, log, barnesg
+from mpmath import mp, mpf, mpmathify, loggamma, log, exp, sinh, cosh, asinh, barnesg
 
 
 class DomainError(ValueError):
@@ -36,7 +35,7 @@ class DomainError(ValueError):
 
 
 class IntegrationError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance."""
 
 
 class PrecisionExhaustedError(ArithmeticError):
@@ -63,13 +62,7 @@ def to_fraction(value) -> Fraction:
     as rationals makes every route see the identical number no matter what
     working precision it later converts at.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, float, str)):
         return Fraction(value)
     if isinstance(value, mpf):
         sign, man, exp, bc = value._mpf_
@@ -91,7 +84,7 @@ class NumericContext:
     """Working precision and the tolerance policy derived from it.
 
     digits     : decimal working precision (>= 30).
-    quad_tol   : relative tolerance for adaptive quadrature, 10**(-digits+10).
+    quad_tol   : relative agreement of successive quadrature levels, 10**(-digits+10).
     diff_step  : relative step for central differences, 10**(-max(2, digits//5)),
                  which balances the h**4 truncation error of the fourth-order
                  stencils against roundoff at ``digits``.
@@ -145,47 +138,55 @@ def barnes_g_log(z, ctx: NumericContext) -> mpf:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def integrate_semi_infinite(f: Callable, ctx: NumericContext,
-                            singularity_power: float = 0.0) -> mpf:
-    """Integrate f over (0, inf) to relative tolerance ``ctx.quad_tol``.
+def exp_sinh_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
+    """[int_0^inf y^(p+k) exp(-g(y)) dy for k < count] from one exp-sinh trapezoid.
 
-    ``singularity_power`` declares an algebraic endpoint singularity
-    f(y) ~ y**p as y -> 0 with p > -1.  For p < 0 the substitution y = u**m,
-    m = ceil(1/(p+1)), turns the integrand into something smooth at 0, which
-    tanh-sinh quadrature then resolves at full precision; without it the
-    semi-infinite transform loses digits near the endpoint.
-
-    Raises IntegrationError when the internal error estimate will not drop
-    below the tolerance (non-shrinking tail).
+    Nodes y = exp(u), u = (pi/2) sinh t, make both tails decay double-exponentially
+    for p > -1 (Takahasi & Mori, Publ. RIMS 9, 1974).  One value per node serves
+    every moment.  Level 0 walks h = 1 out from t = 0 until a node adds less than the
+    working epsilon to every moment; each level then halves h and adds the odd nodes
+    inside that span, until two levels agree to ``ctx.quad_tol`` in every moment.
+    The error falls like exp(-c/h), so the level cap grows with log2(digits).
+    Raises DomainError for p <= -1, and IntegrationError when the levels disagree at
+    the cap or the walk passes |t| = asinh(2 D ln 10 / (pi (p+1))) + 2 (D the working
+    digits), where y^(p+1) < 10^-D: a tail still adding there does not decay.
     """
-    p = float(singularity_power)
-    if p <= -1:
-        raise DomainError("endpoint singularity must be integrable (p > -1)")
-    m = 1 if p >= 0 else math.ceil(1.0 / (p + 1.0))
+    with mp.workdps(ctx.digits + 10):
+        p = mpmathify(p)
+        if p <= -1:
+            raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
+        half_pi = mp.pi / 2
+        t_max = int(asinh(2 * mp.dps * log(10) / (mp.pi * (p + 1))) + 2)
 
-    tol_num, tol_den = ctx.quad_tol.numerator, ctx.quad_tol.denominator
+        def terms(t):
+            u = half_pi * sinh(t)
+            y = exp(u)
+            out = [exp((p + 1) * u - g(y)) * half_pi * cosh(t)]
+            for _ in range(count - 1):
+                out.append(out[-1] * y)
+            return out
 
-    def attempt(dps: int, maxdegree: int):
-        with mp.workdps(dps):
-            if m == 1:
-                g = f
+        sums, span = terms(mp.zero), []
+        for sign in (1, -1):
+            for j in range(1, t_max + 1):
+                new = terms(sign * j)
+                sums = [a + b for a, b in zip(sums, new)]
+                if all(abs(b) <= mp.eps * abs(a) for a, b in zip(sums, new)):
+                    break
             else:
-                def g(u, _m=m):
-                    return f(u ** _m) * _m * u ** (_m - 1)
-            value, err = quad(g, [0, 1, inf], error=True, maxdegree=maxdegree)
-            tol = mpf(tol_num) / tol_den
-            scale = max(abs(value), mpf(10) ** (-dps))
-            return value, err, bool(err <= tol * scale)
+                raise IntegrationError(f"integrand does not decay by |t| = {t_max}")
+            span.append(j)
+        right, left = span
 
-    base = ctx.digits + 10
-    maxdeg = 8 + ctx.digits // 60
-    value, err, ok = attempt(base, maxdeg)
-    if not ok:
-        value, err, ok = attempt(base + 20, maxdeg + 2)
-    if not ok:
-        raise IntegrationError(
-            f"quadrature error estimate {err} exceeds tolerance {ctx.quad_tol}")
-    return value
+        h, estimate, tol = mp.one, sums, fraction_to_mpf(ctx.quad_tol)
+        for level in range(1, ctx.digits.bit_length() + 5):
+            h /= 2
+            for m in range(1 - (left << level), right << level, 2):
+                sums = [a + b for a, b in zip(sums, terms(m * h))]
+            previous, estimate = estimate, [h * a for a in sums]
+            if all(abs(e - q) <= tol * abs(e) for e, q in zip(estimate, previous)):
+                return estimate
+        raise IntegrationError(f"exp-sinh levels disagree by more than {ctx.quad_tol}")
 
 
 # ---------------------------------------------------------------------------

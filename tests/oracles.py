@@ -4,12 +4,12 @@
   (mu_{j+k}); its pivots are h_0..h_{n-1}.
 * ``per_entry_table`` -- one closed-form ``mu0`` (pcfd) call per even moment,
   mu_{2k} = mu_0 at alpha + 2k, with no recurrence between entries.
-* ``parabolic_cylinder_D_integral`` -- D_nu(z) by quadrature of its integral
-  representation, against mpmath's ``pcfd``.
+* ``parabolic_cylinder_D_integral`` -- D_nu(z) by exp-sinh quadrature of its
+  integral representation, against mpmath's ``pcfd``.
 """
 from mpmath import mp, mpmathify, exp, gamma
 
-from dfreud import DomainError, MomentTable, integrate_semi_infinite, mu0
+from dfreud import DomainError, MomentTable, exp_sinh_moments, mu0
 
 
 def ldlt_pivots(mus, n: int):
@@ -48,10 +48,5 @@ def parabolic_cylinder_D_integral(nu, z, ctx):
         nu, z = mpmathify(nu), mpmathify(z)
         if nu >= 0:
             raise DomainError("representation requires nu < 0")
-        p = -nu - 1
-
-        def integrand(t):
-            return t ** p * exp(-t * t / 2 - t * z)
-
-        integral = integrate_semi_infinite(integrand, ctx, singularity_power=float(p))
+        integral = exp_sinh_moments(-nu - 1, lambda t: t * t / 2 + t * z, 1, ctx)[0]
         return exp(-z * z / 4) / gamma(-nu) * integral

@@ -1,8 +1,9 @@
 import pytest
-from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma, exp
+from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma
 
 from dfreud import (NumericContext, WeightParams, DomainError, mu0_quadrature,
-                    mu0_closed_form, mu0_gaussian, parabolic_cylinder_D, moment_table)
+                    mu0_closed_form, mu0_gaussian, parabolic_cylinder_D, moment_table,
+                    exp_sinh_moments)
 from conftest import assert_close
 from oracles import parabolic_cylinder_D_integral
 
@@ -36,12 +37,10 @@ class TestMu0Quadrature:
                 assert abs(got - want) / want < mpf(10) ** -48
 
     def test_pure_freud(self):
-        # s=1, a=0, N=1: independent quadrature of e^{-x^4} at doubled digits
+        # s=1, a=0, N=1: e^{-x^4} integrated in x-space (no y = x^2 fold) at doubled digits
         ctx = NumericContext(digits=60)
         with mp.workdps(130):
-            from dfreud import integrate_semi_infinite
-            oracle = 2 * integrate_semi_infinite(lambda x: exp(-x ** 4),
-                                                 NumericContext(digits=120))
+            oracle = 2 * exp_sinh_moments(0, lambda x: x ** 4, 1, NumericContext(digits=120))[0]
             got = mu0_quadrature(WeightParams(1, 0, 1), ctx)
             assert abs(got - oracle) < mpf(10) ** -48
             # known value Gamma(1/4)/2 = 1.81280...
@@ -128,12 +127,18 @@ class TestMomentTable:
         table = moment_table(WeightParams("0.25", "-0.5", "0.5"), 12, ctx60)
         assert all(table.mu(2 * k) > 0 for k in range(7))
 
-    def test_quadrature_source(self, ctx60):
-        table = moment_table(WeightParams("0.5", 1, 1), 4, ctx60,
-                             source="quadrature")
-        ref = moment_table(WeightParams("0.5", 1, 1), 4, ctx60)
+    @pytest.mark.parametrize("s,a,n,max_order", [
+        ("1/2", "1", "1", 4), ("1/2", "-99/100", "1", 8),
+        # mu_0 and mu_40 differ by many orders: the tail must stop on each moment
+        ("1/100", "21/10", "5", 40),
+        ("0", "-2/5", "1", 6), ("1", "0", "50", 20)])
+    def test_quadrature_source(self, s, a, n, max_order, ctx60):
+        params = WeightParams(s, a, n)
+        table = moment_table(params, max_order, ctx60, source="quadrature")
+        ref = moment_table(params, max_order, ctx60)
         with mp.workdps(70):
-            assert abs(table.mu(4) - ref.mu(4)) / ref.mu(4) < mpf(10) ** -40
+            for j in range(0, max_order + 1, 2):
+                assert abs(table.mu(j) - ref.mu(j)) <= mpf(10) ** -(ctx60.digits - 10) * ref.mu(j), j
 
     def test_rescaling_spot_check(self):
         # substituting x -> c x maps (s, N) to (s', N') with

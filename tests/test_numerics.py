@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma
 
-from dfreud import (NumericContext, DomainError, gamma_log,
-                    barnes_g_log, integrate_semi_infinite, central_difference)
+from dfreud import (NumericContext, DomainError, IntegrationError, gamma_log,
+                    barnes_g_log, exp_sinh_moments, central_difference)
 from conftest import assert_close
 
 
@@ -85,34 +86,41 @@ class TestBarnesGLog:
 
 
 class TestIntegrateSemiInfinite:
+    """Integrals over (0, inf), all from ``exp_sinh_moments``."""
+
     def test_exponential(self, ctx60):
-        assert_close(integrate_semi_infinite(lambda y: exp(-y), ctx60), 1,
-                     mpf(10) ** -48)
+        assert_close(exp_sinh_moments(0, lambda y: y, 1, ctx60)[0], 1, mpf(10) ** -48)
 
     def test_sqrt_singularity(self, ctx60):
         # int y^{-1/2} e^{-y} = Gamma(1/2) = sqrt(pi)
         with mp.workdps(70):
-            val = integrate_semi_infinite(lambda y: y ** mpf("-0.5") * exp(-y),
-                                          ctx60, singularity_power=-0.5)
+            val = exp_sinh_moments(mpf("-0.5"), lambda y: y, 1, ctx60)[0]
             assert_close(val, sqrt(pi), mpf(10) ** -48, dps=70)
 
     def test_half_gaussian(self, ctx60):
         with mp.workdps(70):
-            val = integrate_semi_infinite(lambda y: exp(-y * y), ctx60)
+            val = exp_sinh_moments(0, lambda y: y * y, 1, ctx60)[0]
             assert_close(val, sqrt(pi) / 2, mpf(10) ** -48, dps=70)
 
     @pytest.mark.parametrize("a", ["0.25", "0.5", "1.5", "3"])
     def test_gamma_family(self, a, ctx60):
+        # int y^{a-1+k} e^{-y} = Gamma(a+k): six moments from the shared nodes
         with mp.workdps(70):
             av = mpmathify(a)
-            val = integrate_semi_infinite(lambda y: y ** (av - 1) * exp(-y),
-                                          ctx60, singularity_power=float(av) - 1)
-            rel = abs(val - gamma(av)) / gamma(av)
-            assert rel < mpf(10) ** -50
+            vals = exp_sinh_moments(av - 1, lambda y: y, 6, ctx60)
+            for k, val in enumerate(vals):
+                assert abs(val - gamma(av + k)) / gamma(av + k) < mpf(10) ** -50, k
 
     def test_rejects_nonintegrable(self, ctx60):
         with pytest.raises(DomainError):
-            integrate_semi_infinite(lambda y: 1 / y, ctx60, singularity_power=-1)
+            exp_sinh_moments(-1, lambda y: y, 1, ctx60)
+
+    @pytest.mark.parametrize("p", [0, "-0.5", 3])
+    def test_non_decaying_integrand_raises_quickly(self, p, ctx60):
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError):
+            exp_sinh_moments(mpmathify(p), lambda y: 0, 1, ctx60)
+        assert time.perf_counter() - start < 1
 
 
 class TestCentralDifference:
