@@ -95,9 +95,11 @@ def cmd_moments(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    method = args.method
+    if args.N is None:      # double scaling needs r = n/N <= 1, so N = n_max there
+        args.N = args.n_max if method == "double" else "1"
     params = _params(args)
     ctx = NumericContext(digits=args.digits)
-    method = args.method
     if params.is_gaussian and method not in ("hankel", "smalls"):
         raise DomainError(f"s = 0 supports only hankel or smalls, not {method}")
     n_max = args.n_max
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("hankel", "dpi", "smalls", "largen", "double"),
                    default="hankel")
     p.add_argument("--n-max", type=int, default=20)
-    p.set_defaults(func=cmd_beta)
+    p.set_defaults(func=cmd_beta, N=None)       # --N: 1, or n-max for double
 
     p = sub.add_parser("hankel-det", help="Hankel pivots and log determinant")
     _add_shared(p)

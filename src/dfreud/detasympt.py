@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from mpmath import mp, mpf, mpmathify, log, pi, matrix, lu_solve, fsum
+from mpmath import mp, mpf, mpmathify, log, loggamma, pi, matrix, lu_solve, fsum
 
 from .numerics import NumericContext, DomainError, SingularCoefficientError, barnes_g_log
 from .moments import WeightParams
@@ -290,9 +290,11 @@ class LogDetExpansion:
 
 
 def _barnes_block(alpha, ctx: NumericContext) -> mpf:
-    """log[ G(3/2) G(1/2) / (G((alpha+3)/2) G((alpha+1)/2)) ]."""
-    return (barnes_g_log(mpf(3) / 2, ctx) + barnes_g_log(mpf(1) / 2, ctx)
-            - barnes_g_log((alpha + 3) / 2, ctx) - barnes_g_log((alpha + 1) / 2, ctx))
+    """log[ G(3/2) G(1/2) / (G((alpha+3)/2) G((alpha+1)/2)) ] by one Barnes G call, from
+    G(z+1) = Gamma(z) G(z) and G(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2), A = Glaisher."""
+    z = (alpha + 1) / 2
+    return (log(mpf(2)) / 12 + mpf(1) / 4 - 3 * log(mp.glaisher)
+            - 2 * barnes_g_log(z, ctx) - loggamma(z))
 
 
 def logdet_expansion(quantity: Quantity, n: int, r, alpha,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mp, mpf, mpmathify, loggamma, log, exp, sinh, cosh, asinh, barnesg
+from mpmath import mp, mpf, mpmathify, loggamma, log, exp, asinh, barnesg
 
 
 class DomainError(ValueError):
@@ -143,48 +143,57 @@ def exp_sinh_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
 
     Nodes y = exp(u), u = (pi/2) sinh t, make both tails decay double-exponentially
     for p > -1 (Takahasi & Mori, Publ. RIMS 9, 1974).  One value per node serves
-    every moment.  Level 0 walks h = 1 out from t = 0 until a node adds less than the
-    working epsilon to every moment; each level then halves h and adds the odd nodes
-    inside that span, until two levels agree to ``ctx.quad_tol`` in every moment.
-    The error falls like exp(-c/h), so the level cap grows with log2(digits).
-    Raises DomainError for p <= -1, and IntegrationError when the levels disagree at
-    the cap or the walk passes |t| = asinh(2 D ln 10 / (pi (p+1))) + 2 (D the working
-    digits), where y^(p+1) < 10^-D: a tail still adding there does not decay.
+    every moment; the nodes +-t share e = exp(t).  Level 0 walks h = 1 out from t = 0
+    until a node adds less than the working epsilon to every moment.  Each level then
+    halves h and adds the odd nodes, per side, out to one coarse step 2h past the
+    outermost node that added more than that at any coarser level (the centre can be
+    negligible before the mass, so no side ends at a negligible node), until two levels
+    agree to ``ctx.quad_tol`` in every moment.  The error falls like exp(-c/h), so the
+    level cap grows with log2(digits).  Raises DomainError for p <= -1, and
+    IntegrationError when the levels disagree at the cap or the walk passes
+    |t| = asinh(2 D ln 10 / (pi (p+1))) + 2 (D the working digits), where
+    y^(p+1) < 10^-D: a tail still adding there does not decay.
     """
     with mp.workdps(ctx.digits + 10):
         p = mpmathify(p)
         if p <= -1:
             raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
-        half_pi = mp.pi / 2
+        quarter_pi, sums = mp.pi / 4, [mp.zero] * count
         t_max = int(asinh(2 * mp.dps * log(10) / (mp.pi * (p + 1))) + 2)
 
-        def terms(t):
-            u = half_pi * sinh(t)
-            y = exp(u)
-            out = [exp((p + 1) * u - g(y)) * half_pi * cosh(t)]
-            for _ in range(count - 1):
-                out.append(out[-1] * y)
-            return out
+        def add(e, sign, test=True) -> bool:
+            """Add the node t = sign log(e) to ``sums``; with ``test``, whether it added."""
+            u = sign * quarter_pi * (e - 1 / e)
+            y, added = exp(u), False
+            b = exp((p + 1) * u - g(y)) * quarter_pi * (e + 1 / e)
+            for k in range(count):
+                sums[k] += b
+                added = added or (test and b > mp.eps * sums[k])
+                b *= y
+            return added
 
-        sums, span = terms(mp.zero), []
-        for sign in (1, -1):
+        add(mp.one, 1)
+        reach = {1: 0, -1: 0}       # the outermost node that added, in units of h
+        for sign in reach:
             for j in range(1, t_max + 1):
-                new = terms(sign * j)
-                sums = [a + b for a, b in zip(sums, new)]
-                if all(abs(b) <= mp.eps * abs(a) for a, b in zip(sums, new)):
+                if not add(exp(j), sign):
                     break
+                reach[sign] = j
             else:
                 raise IntegrationError(f"integrand does not decay by |t| = {t_max}")
-            span.append(j)
-        right, left = span
 
-        h, estimate, tol = mp.one, sums, fraction_to_mpf(ctx.quad_tol)
-        for level in range(1, ctx.digits.bit_length() + 5):
+        h, estimate, tol = mp.one, list(sums), fraction_to_mpf(ctx.quad_tol)
+        for _ in range(1, ctx.digits.bit_length() + 5):
             h /= 2
-            for m in range(1 - (left << level), right << level, 2):
-                sums = [a + b for a, b in zip(sums, terms(m * h))]
+            reach = {sign: 2 * r for sign, r in reach.items()}
+            e, step = exp(h), exp(2 * h)
+            for m in range(1, max(reach.values()) + 2, 2):    # odd m, m h <= reach + 2h
+                for sign, r in reach.items():
+                    if m <= r + 1 and add(e, sign, m > r):
+                        reach[sign] = m
+                e *= step
             previous, estimate = estimate, [h * a for a in sums]
-            if all(abs(e - q) <= tol * abs(e) for e, q in zip(estimate, previous)):
+            if all(abs(a - b) <= tol * abs(a) for a, b in zip(estimate, previous)):
                 return estimate
         raise IntegrationError(f"exp-sinh levels disagree by more than {ctx.quad_tol}")
 

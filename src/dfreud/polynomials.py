@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, sqrt, fsum
+from mpmath import mp, mpf, mpmathify, sqrt, fsum, polyval
 from mpmath import quad  # noqa: F401  -- unused here; bench/tracer.py spans polynomials.quad
 
 from .numerics import NumericContext, DomainError, PoleError
@@ -82,11 +82,7 @@ def eval_poly(poly: MonicPolynomial, z, derivative_order: int = 0) -> mpf:
     coeffs = list(poly.coeffs)
     for _ in range(derivative_order):
         coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
-    z = mpmathify(z)
-    acc = mp.zero
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+    return polyval(coeffs[::-1], mpmathify(z))
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +100,34 @@ class LadderPair:
     v0_prime: mpf
 
 
-def v0_prime(z, params: WeightParams) -> mpf:
+def _constants(params: WeightParams, z) -> tuple:
+    """(4 N s, 2 N (1-s), alpha, v_0'(z)) at the working precision: all A_j, B_j use."""
     s, a, N = params.mpfs()
-    z = mpmathify(z)
-    return 4 * N * s * z ** 3 + 2 * N * (1 - s) * z
+    c, v = 4 * N * s, 2 * N * (1 - s)
+    return c, v, a, c * z ** 3 + v * z
+
+
+def v0_prime(z, params: WeightParams) -> mpf:
+    return _constants(params, mpmathify(z))[3]
+
+
+def _ladder(j: int, z, c, v, a, betas) -> tuple:
+    """(A_j(z), B_j(z)) from ``_constants``; the 1/z term of B_j exists iff j is odd."""
+    if z == 0 and j % 2 == 1:
+        raise PoleError("B_n has a 1/z pole at z = 0 for odd n")
+    b_j = c * betas[j] * z
+    if j % 2 == 1:
+        b_j += a * delta_parity(j) / z
+    return c * z * z + c * (betas[j + 1] + betas[j]) + v, b_j
 
 
 def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
     """Closed-form A_n(z), B_n(z); the 1/z term of B_n exists iff n is odd."""
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        s, a, N = params.mpfs()
-        if z == 0 and n % 2 == 1:
-            raise PoleError("B_n has a 1/z pole at z = 0 for odd n")
-        a_n = 4 * N * s * z * z + 4 * N * s * (betas[n + 1] + betas[n]) + 2 * N * (1 - s)
-        b_n = 4 * N * s * betas[n] * z
-        if n % 2 == 1:
-            b_n += a * delta_parity(n) / z
-        return LadderPair(n=n, z=z, a_n=a_n, b_n=b_n, v0_prime=v0_prime(z, params))
+        c, v, a, v0p = _constants(params, z)
+        a_n, b_n = _ladder(n, z, c, v, a, betas)
+        return LadderPair(n=n, z=z, a_n=a_n, b_n=b_n, v0_prime=v0p)
 
 
 def lowering_residual(n: int, z, params: WeightParams, betas,
@@ -130,10 +136,11 @@ def lowering_residual(n: int, z, params: WeightParams, betas,
     if polys is None:
         polys = build_polynomials(betas, n + 1)
     with mp.workdps(_work_dps(betas)):
-        pair = ladder_pair(n, z, params, betas)
+        z = mpmathify(z)
+        a_n, b_n = _ladder(n, z, *_constants(params, z)[:3], betas)
         return (eval_poly(polys[n], z, 1)
-                - (betas[n] * pair.a_n * eval_poly(polys[n - 1], z)
-                   - pair.b_n * eval_poly(polys[n], z)))
+                - (betas[n] * a_n * eval_poly(polys[n - 1], z)
+                   - b_n * eval_poly(polys[n], z)))
 
 
 def sum_rule_residual(n: int, params: WeightParams, betas) -> mpf:
@@ -167,17 +174,15 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
         z = mpmathify(z)
         if z == 0:
             raise PoleError("the conditions carry alpha/z terms; z = 0 excluded")
-        s, a, N = params.mpfs()
-        if len(betas) < n + 2:
-            raise DomainError("betas must cover indices 0..n+1")
-        pairs = {m: ladder_pair(m, z, params, betas) for m in range(n + 2)}
-        v0p = pairs[n].v0_prime
-        r_s1 = (pairs[n + 1].b_n + pairs[n].b_n) - (z * pairs[n].a_n - v0p + a / z)
-        r_s2 = (1 + z * (pairs[n + 1].b_n - pairs[n].b_n)
-                - (betas[n + 1] * pairs[n + 1].a_n - betas[n] * pairs[n - 1].a_n))
-        r_s2p = (pairs[n].b_n ** 2 + (v0p - a / z) * pairs[n].b_n
-                 + fsum(pairs[j].a_n for j in range(n))
-                 - betas[n] * pairs[n].a_n * pairs[n - 1].a_n)
+        if len(betas) < n + 3:
+            raise DomainError("betas must cover indices 0..n+2")
+        c, v, a, v0p = _constants(params, z)
+        ab = [_ladder(j, z, c, v, a, betas) for j in range(n + 2)]
+        (a_prev, _), (a_n, b_n), (a_next, b_next) = ab[n - 1], ab[n], ab[n + 1]
+        r_s1 = (b_next + b_n) - (z * a_n - v0p + a / z)
+        r_s2 = 1 + z * (b_next - b_n) - (betas[n + 1] * a_next - betas[n] * a_prev)
+        r_s2p = (b_n ** 2 + (v0p - a / z) * b_n + fsum(a_j for a_j, _ in ab[:n])
+                 - betas[n] * a_n * a_prev)
         return r_s1, r_s2, r_s2p
 
 

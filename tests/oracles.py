@@ -6,10 +6,15 @@
   mu_{2k} = mu_0 at alpha + 2k, with no recurrence between entries.
 * ``parabolic_cylinder_D_integral`` -- D_nu(z) by exp-sinh quadrature of its
   integral representation, against mpmath's ``pcfd``.
+* ``ladder_pair_compatibility_residuals`` -- (S1), (S2), (S2') from one
+  ``LadderPair`` per index j <= n+1, each converting (s, alpha, N) again.
+* ``barnes_block_four_calls`` -- the Barnes-G block of the log D_n displays
+  from four ``barnes_g_log`` calls, without the functional equation.
 """
-from mpmath import mp, mpmathify, exp, gamma
+from mpmath import mp, mpf, mpmathify, exp, gamma, fsum
 
-from dfreud import DomainError, MomentTable, exp_sinh_moments, mu0
+from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_sinh_moments,
+                    ladder_pair, mu0)
 
 
 def ldlt_pivots(mus, n: int):
@@ -50,3 +55,27 @@ def parabolic_cylinder_D_integral(nu, z, ctx):
             raise DomainError("representation requires nu < 0")
         integral = exp_sinh_moments(-nu - 1, lambda t: t * t / 2 + t * z, 1, ctx)[0]
         return exp(-z * z / 4) / gamma(-nu) * integral
+
+
+def ladder_pair_compatibility_residuals(n: int, z, params, betas) -> tuple:
+    """(r_S1, r_S2, r_S2prime) with every A_j, B_j taken from ``ladder_pair``."""
+    with mp.workdps(max(mp.dps, betas.digits_used)):
+        z = mpmathify(z)
+        if z == 0:
+            raise PoleError("the conditions carry alpha/z terms; z = 0 excluded")
+        a = params.mpfs()[1]
+        pairs = {m: ladder_pair(m, z, params, betas) for m in range(n + 2)}
+        v0p = pairs[n].v0_prime
+        r_s1 = (pairs[n + 1].b_n + pairs[n].b_n) - (z * pairs[n].a_n - v0p + a / z)
+        r_s2 = (1 + z * (pairs[n + 1].b_n - pairs[n].b_n)
+                - (betas[n + 1] * pairs[n + 1].a_n - betas[n] * pairs[n - 1].a_n))
+        r_s2p = (pairs[n].b_n ** 2 + (v0p - a / z) * pairs[n].b_n
+                 + fsum(pairs[j].a_n for j in range(n))
+                 - betas[n] * pairs[n].a_n * pairs[n - 1].a_n)
+        return r_s1, r_s2, r_s2p
+
+
+def barnes_block_four_calls(alpha, ctx):
+    """log[ G(3/2) G(1/2) / (G((alpha+3)/2) G((alpha+1)/2)) ]."""
+    return (barnes_g_log(mpf(3) / 2, ctx) + barnes_g_log(mpf(1) / 2, ctx)
+            - barnes_g_log((alpha + 3) / 2, ctx) - barnes_g_log((alpha + 1) / 2, ctx))

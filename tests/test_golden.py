@@ -5,8 +5,10 @@
 ``.stderr`` file means the command writes nothing there.  The files were
 captured from the package before the Barnes G, double-scaling and cache
 refactors, so any digit those refactors moved would show up here.  The one
-deliberate change since is the ``value`` column of the three ``logdet``
-displays, which used to be summed at the ambient 15-digit precision.
+deliberate changes since are the ``value`` column of the three ``logdet``
+displays, which used to be summed at the ambient 15-digit precision, and
+``beta_double``, which exited 2 at N = 1 (r = n/N > 1 from n = 2) until
+``--method double`` took N = n-max when ``--N`` is not given.
 """
 from pathlib import Path
 
@@ -21,7 +23,7 @@ CASES = {
     "beta_dpi": (("beta", "--method", "dpi"), 0),
     "beta_smalls": (("beta", "--method", "smalls"), 0),
     "beta_largen": (("beta", "--method", "largen"), 0),
-    "beta_double": (("beta", "--method", "double"), 2),  # r = n/N > 1 from n = 2
+    "beta_double": (("beta", "--method", "double"), 0),  # N defaults to n-max: r <= 1
     "hankel_det": (("hankel-det",), 0),
     "logdet_dlogds": (("logdet", "--quantity", "dlogds"), 0),
     "logdet_ratio_10": (("logdet", "--quantity", "ratio_10"), 0),

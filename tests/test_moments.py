@@ -140,6 +140,19 @@ class TestMomentTable:
             for j in range(0, max_order + 1, 2):
                 assert abs(table.mu(j) - ref.mu(j)) <= mpf(10) ** -(ctx60.digits - 10) * ref.mu(j), j
 
+    @pytest.mark.parametrize("s,a,n", [
+        # mass far left of t = 0, where the centre is negligible before it
+        ("1/2", "0", "1000"), ("1/100", "1", "5000"),
+        # mass far right of t = 0
+        ("9/10", "-1/2", "1/1000")])
+    def test_quadrature_source_at_40_digits(self, s, a, n):
+        params, ctx = WeightParams(s, a, n), NumericContext(digits=40)
+        table = moment_table(params, 8, ctx, source="quadrature")
+        ref = moment_table(params, 8, ctx)
+        with mp.workdps(50):
+            for j in range(0, 9, 2):
+                assert abs(table.mu(j) - ref.mu(j)) <= mpf(10) ** -(ctx.digits - 10) * ref.mu(j), j
+
     def test_rescaling_spot_check(self):
         # substituting x -> c x maps (s, N) to (s', N') with
         # N' = N c^2 (1 - s) + N s c^4 and s' = N s c^4 / N', and multiplies

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma
+from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma, besselk
 
 from dfreud import (NumericContext, DomainError, IntegrationError, gamma_log,
                     barnes_g_log, exp_sinh_moments, central_difference)
@@ -110,6 +110,22 @@ class TestIntegrateSemiInfinite:
             vals = exp_sinh_moments(av - 1, lambda y: y, 6, ctx60)
             for k, val in enumerate(vals):
                 assert abs(val - gamma(av + k)) / gamma(av + k) < mpf(10) ** -50, k
+
+    def test_finer_levels_stop_at_the_tails_reach(self, ctx60):
+        # mu_0 at (s, alpha, N) = (1/2, 0, 1) = e^(1/16) K_{1/4}(1/16) / 2: level 0
+        # spans t in [-7, 2], while nodes add above the working epsilon only on
+        # about [-6.05, 1.36]; refining all of level 0's span took 2305 evaluations
+        calls = []
+
+        def g(y):
+            calls.append(None)
+            return (y + y * y) / 2
+
+        with mp.workdps(70):
+            val = exp_sinh_moments(mpf("-0.5"), g, 1, ctx60)[0]
+            ref = exp(mpf(1) / 16) * besselk(mpf(1) / 4, mpf(1) / 16) / 2
+            assert abs(val - ref) <= mpf(10) ** -50 * ref
+        assert len(calls) <= 2000
 
     def test_rejects_nonintegrable(self, ctx60):
         with pytest.raises(DomainError):

@@ -1,13 +1,15 @@
-"""The recurrence moment table and the Chebyshev pivots against the slow
-oracles of ``oracles.py``, over a fixed grid of the parameter box."""
+"""The recurrence moment table, the Chebyshev pivots and the compatibility
+residuals against the slow oracles of ``oracles.py``, over a fixed grid of the
+parameter box."""
 import itertools
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, mpmathify
 
-from dfreud import NumericContext, WeightParams, moment_table
+from dfreud import (NumericContext, WeightParams, beta_from_moments, compatibility_residuals,
+                    moment_table)
 from dfreud.hankel import _pivots
-from oracles import ldlt_pivots, per_entry_table
+from oracles import ldlt_pivots, ladder_pair_compatibility_residuals, per_entry_table
 
 GRID = list(itertools.product(("0", "1/1000", "1/100", "1/2", "1"),
                               ("-9/10", "0", "5/2"), ("1/4", "1", "8")))
@@ -53,3 +55,16 @@ def test_non_positive_pivot_reported_like_ldlt():
     h, fail = _pivots(mus, 3)
     oracle, oracle_fail = ldlt_pivots(mus, 3)
     assert fail == oracle_fail == 2 and h == oracle
+
+
+@pytest.mark.parametrize("i", range(0, len(GRID), 3))
+def test_compatibility_residuals_match_ladder_pair_form(i):
+    params, digits, _ = _case(i)
+    ctx = NumericContext(digits=digits)
+    betas = beta_from_moments(params, 9, ctx)
+    with mp.workdps(betas.digits_used):
+        for n in range(1, 8):
+            for z in ("-1.1", "0.3", "2.7"):
+                got = compatibility_residuals(n, mpmathify(z), params, betas)
+                want = ladder_pair_compatibility_residuals(n, mpmathify(z), params, betas)
+                assert all(abs(g - w) <= mpf(10) ** -digits for g, w in zip(got, want)), (n, z)

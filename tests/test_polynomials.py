@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, exp
 
-from dfreud import (NumericContext, WeightParams, PoleError, beta_from_moments,
+from dfreud import (NumericContext, WeightParams, PoleError, DomainError, beta_from_moments,
                     build_polynomials, eval_poly, ladder_pair, lowering_residual,
                     compatibility_residuals, sum_rule_residual, ode_coefficients,
                     pn_ode_residual, heun_parameters, heun_operator_residual,
@@ -132,6 +132,13 @@ class TestCompatibility:
             assert abs(r1) < mpf(10) ** -30
             assert abs(r2) < mpf(10) ** -30
             assert abs(r2p) < mpf(10) ** -30
+
+    def test_needs_beta_n_plus_2(self, setup):
+        # (S2) takes A_{n+1}, which carries beta_{n+2}
+        ctx, params, betas, _ = setup
+        short = replace(betas, betas=betas.betas[:8])
+        with pytest.raises(DomainError):
+            compatibility_residuals(6, mpf("0.9"), params, short)
 
     def test_s1_is_ladder_relation_rearranged(self, setup):
         # r_S1 = -z * (residual of the A_n / B_n relation): same identity

@@ -8,6 +8,8 @@
   same beta_n, the polynomials built from Hankel betas are orthonormal against
   quadrature moments, and the Hankel betas lie below the closed-form upper
   bound.
+* Over alpha in (-1, 5] at 30, 60 and 120 digits, the one-call Barnes-G block
+  of the log D_n displays matches four ``barnes_g_log`` calls.
 """
 from fractions import Fraction
 
@@ -17,13 +19,15 @@ from mpmath import mp, mpf
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
                     beta1_initial, dpi_forward, orthogonality_check, upper_bound)
-from oracles import per_entry_table
+from dfreud.detasympt import _barnes_block
+from oracles import barnes_block_four_calls, per_entry_table
 
 CTX = NumericContext(digits=60)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
 ROUTES = settings(PROPERTY, max_examples=40)
 GRAM = settings(PROPERTY, max_examples=3)
 BOUND = settings(PROPERTY, max_examples=30)
+BARNES = settings(PROPERTY, max_examples=30)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -92,3 +96,12 @@ def test_hankel_betas_below_upper_bound(params, n):
     betas = beta_from_moments(params, n, CTX)
     with mp.workdps(betas.digits_used):
         assert all(betas[j] < upper_bound(j, params, CTX) for j in range(1, n + 1))
+
+
+@BARNES
+@given(alpha=alphas, digits=st.sampled_from((30, 60, 120)))
+def test_barnes_block_matches_four_calls(alpha, digits):
+    ctx = NumericContext(digits=digits)
+    with mp.workdps(digits + 10):
+        a = mpf(alpha.numerator) / alpha.denominator
+        assert abs(_barnes_block(a, ctx) - barnes_block_four_calls(a, ctx)) <= mpf(10) ** -digits
