@@ -18,7 +18,7 @@ an explicit NumericContext; nothing mutates global precision.
 """
 from .numerics import (NumericContext, DomainError, IntegrationError,
                        PrecisionExhaustedError, PoleError, SingularCoefficientError,
-                       gamma_log, barnes_g_log, exp_sinh_moments,
+                       gamma_log, barnes_g_log, exp_exp_moments,
                        central_difference)
 from .moments import (WeightParams, MomentTable, mu0_quadrature, mu0_closed_form,
                       mu0_gaussian, mu0, parabolic_cylinder_D, moment_table)

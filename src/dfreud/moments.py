@@ -7,7 +7,7 @@ the zeroth moment at a shifted exponent:
 
 mu_0 itself is computed two independent ways and cross-checked in the tests:
 
-* ``mu0_quadrature``  -- exp-sinh quadrature of the substituted integral
+* ``mu0_quadrature``  -- exp-exp quadrature (Takahasi & Mori 1974) of the integral
   int_0^inf y^((a-1)/2) exp(-N [y + s (y^2 - y)]) dy  (y = x^2 absorbs |x|^a).
 * ``mu0_closed_form`` -- the parabolic-cylinder closed form
 
@@ -23,7 +23,7 @@ A = (a + 2k + 1) mu_{2k} and B = 2N (1-s) mu_{2k+2}.  It is exact at s = 0 and
 free of cancellation at s = 1; for 0 < s < 1 a step loses log10(A / (A - B))
 digits, more as s falls.  Seeds and run carry the loss predicted from 53-bit
 ratios mu_{2k+2}/mu_{2k}, and a run that measures a larger loss is repeated
-with that guard.  ``source="quadrature"`` takes every even entry from one exp-sinh
+with that guard.  ``source="quadrature"`` takes every even entry from one exp-exp
 rule (y^k more in the integral above) as the independent check.  Odd entries are
 exact zeros.
 """
@@ -37,7 +37,7 @@ from typing import Literal
 from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, log10, pcfd
 
 from .numerics import (NumericContext, DomainError, to_fraction, fraction_to_mpf,
-                       exp_sinh_moments)
+                       exp_exp_moments)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class MomentTable:
 
 
 def mu0_quadrature(params: WeightParams, ctx: NumericContext) -> mpf:
-    """mu_0 by exp-sinh quadrature: the one-entry quadrature moment table."""
+    """mu_0 by exp-exp quadrature: the one-entry quadrature moment table."""
     return moment_table(params, 0, ctx, source="quadrature").mu(0)
 
 
@@ -188,14 +188,14 @@ def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list
 
 def moment_table(params: WeightParams, max_order: int, ctx: NumericContext,
                  source: Source = "closed_form") -> MomentTable:
-    """mu_0..mu_{max_order}: even entries by the recurrence or by one exp-sinh rule."""
+    """mu_0..mu_{max_order}: even entries by the recurrence or by one exp-exp rule."""
     if max_order < 0:
         raise DomainError("max_order must be nonnegative")
     count = max_order // 2 + 1
     if source == "quadrature":
         with mp.workdps(ctx.digits + 10):
             s, a, n = params.mpfs()
-            evens = exp_sinh_moments((a - 1) / 2, lambda y: n * (y + s * (y * y - y)), count, ctx)
+            evens = exp_exp_moments((a - 1) / 2, lambda y: n * (y + s * (y * y - y)), count, ctx)
     else:
         evens = _even_moments(params, count, ctx)
     values = tuple(evens[j // 2] if j % 2 == 0 else mp.zero for j in range(max_order + 1))

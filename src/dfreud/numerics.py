@@ -15,9 +15,9 @@ Provided here:
   normalised by G(1) = G(2) = 1 with G(z+1) = Gamma(z) G(z).  Both come from
   mpmath (``loggamma``, ``barnesg``) evaluated with guard digits; so does the
   Glaisher constant ``mp.glaisher`` used by the determinant asymptotics.
-* ``exp_sinh_moments`` -- the moments int_0^inf y^(p+k) exp(-g(y)) dy, k < count,
-  p > -1, from one exp-sinh (double-exponential) trapezoid whose nodes all the
-  moments share; the endpoint behaviour y^p needs no substitution.
+* ``exp_exp_moments`` -- the moments int_0^inf y^(p+k) exp(-g(y)) dy, k < count,
+  p > -1, from one exp-exp (double-exponential, Takahasi & Mori 1974) trapezoid
+  whose nodes all the moments share; the endpoint behaviour y^p needs no substitution.
 * ``central_difference`` -- fourth-order central stencils, used only as an
   independent oracle for analytic derivative formulas elsewhere.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mp, mpf, mpmathify, loggamma, log, exp, asinh, barnesg
+from mpmath import mp, mpf, mpmathify, loggamma, log, exp, barnesg
 
 
 class DomainError(ValueError):
@@ -138,49 +138,49 @@ def barnes_g_log(z, ctx: NumericContext) -> mpf:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def exp_sinh_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
-    """[int_0^inf y^(p+k) exp(-g(y)) dy for k < count] from one exp-sinh trapezoid.
+def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
+    """[int_0^inf y^(p+k) exp(-g(y)) dy for k < count] from one exp-exp trapezoid.
 
-    Nodes y = exp(u), u = (pi/2) sinh t, make both tails decay double-exponentially
-    for p > -1 (Takahasi & Mori, Publ. RIMS 9, 1974).  One value per node serves
+    Nodes y = exp(u), u = t - exp(-t), dy = y (1 + exp(-t)) dt: the double-exponential
+    map for integrands that decay exponentially (Takahasi & Mori, Publ. RIMS 9, 1974;
+    Mori & Sugihara, J. Comput. Appl. Math. 127, 2001).  One value per node serves
     every moment; the nodes +-t share e = exp(t).  Level 0 walks h = 1 out from t = 0
     until a node adds less than the working epsilon to every moment.  Each level then
     halves h and adds the odd nodes, per side, out to one coarse step 2h past the
     outermost node that added more than that at any coarser level (the centre can be
-    negligible before the mass, so no side ends at a negligible node), until two levels
-    agree to ``ctx.quad_tol`` in every moment.  The error falls like exp(-c/h), so the
-    level cap grows with log2(digits).  Raises DomainError for p <= -1, and
-    IntegrationError when the levels disagree at the cap or the walk passes
-    |t| = asinh(2 D ln 10 / (pi (p+1))) + 2 (D the working digits), where
-    y^(p+1) < 10^-D: a tail still adding there does not decay.
+    negligible before the mass, so a negligible node ends no side), until two levels
+    agree to ``ctx.quad_tol`` in every moment; the level cap grows with log2(digits).  Raises DomainError for p <= -1,
+    and IntegrationError when the levels disagree at the cap or a tail still adds past
+    its bound (D the working digits): y^(p+1) < 10^-D on the left once
+    (p+1)(|t| + e^|t|) > D ln 10; the right tail decays only through g, walked to y = 10^D.
     """
     with mp.workdps(ctx.digits + 10):
         p = mpmathify(p)
         if p <= -1:
             raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
-        quarter_pi, sums = mp.pi / 4, [mp.zero] * count
-        t_max = int(asinh(2 * mp.dps * log(10) / (mp.pi * (p + 1))) + 2)
+        sums, d_ln10 = [mp.zero] * count, mp.dps * log(10)
+        t_max = {1: int(d_ln10) + 2, -1: int(log(max(d_ln10 / (p + 1), 1))) + 2}
 
-        def add(e, sign, test=True) -> bool:
-            """Add the node t = sign log(e) to ``sums``; with ``test``, whether it added."""
-            u = sign * quarter_pi * (e - 1 / e)
+        def add(t, e, sign, test=True) -> bool:
+            """Add the node sign t, e = exp(t), to ``sums``; with ``test``, whether it added."""
+            u, du = (t - 1 / e, 1 + 1 / e) if sign > 0 else (-t - e, 1 + e)
             y, added = exp(u), False
-            b = exp((p + 1) * u - g(y)) * quarter_pi * (e + 1 / e)
+            b = exp((p + 1) * u - g(y)) * du
             for k in range(count):
                 sums[k] += b
                 added = added or (test and b > mp.eps * sums[k])
                 b *= y
             return added
 
-        add(mp.one, 1)
+        add(mp.zero, mp.one, 1)
         reach = {1: 0, -1: 0}       # the outermost node that added, in units of h
         for sign in reach:
-            for j in range(1, t_max + 1):
-                if not add(exp(j), sign):
+            for j in range(1, t_max[sign] + 1):
+                if not add(mpf(j), exp(j), sign):
                     break
                 reach[sign] = j
             else:
-                raise IntegrationError(f"integrand does not decay by |t| = {t_max}")
+                raise IntegrationError(f"integrand does not decay by t = {sign * t_max[sign]}")
 
         h, estimate, tol = mp.one, list(sums), fraction_to_mpf(ctx.quad_tol)
         for _ in range(1, ctx.digits.bit_length() + 5):
@@ -189,13 +189,13 @@ def exp_sinh_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
             e, step = exp(h), exp(2 * h)
             for m in range(1, max(reach.values()) + 2, 2):    # odd m, m h <= reach + 2h
                 for sign, r in reach.items():
-                    if m <= r + 1 and add(e, sign, m > r):
+                    if m <= r + 1 and add(m * h, e, sign, m > r):
                         reach[sign] = m
                 e *= step
             previous, estimate = estimate, [h * a for a in sums]
             if all(abs(a - b) <= tol * abs(a) for a, b in zip(estimate, previous)):
                 return estimate
-        raise IntegrationError(f"exp-sinh levels disagree by more than {ctx.quad_tol}")
+        raise IntegrationError(f"exp-exp levels disagree by more than {ctx.quad_tol}")
 
 
 # ---------------------------------------------------------------------------

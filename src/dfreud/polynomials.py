@@ -200,33 +200,28 @@ class OdeCoefficients:
     q_n: mpf
 
 
-def _pole_guard(denom, digits: int):
-    if abs(denom) < mpf(10) ** (-(digits // 2)):
-        raise PoleError(f"denominator {denom} within pole guard")
-
-
 def ode_coefficients(n: int, z, params: WeightParams, betas,
                      ctx: Optional[NumericContext] = None) -> OdeCoefficients:
     """Closed-form R_n(z), Q_n(z); raises PoleError near the movable pole."""
     digits = ctx.digits if ctx is not None else mp.dps
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        s, a, N = params.mpfs()
-        if s == 0:
+        c, v, a, v0p = _constants(params, z)
+        if c == 0:
             raise DomainError("the z-ODE coefficients are stated for s > 0")
-        u = (1 - s) / (2 * s)
+        u = v / c       # (1-s)/(2s)
         pole = z * z + u + betas[n] + betas[n + 1]
-        _pole_guard(pole, digits)
-        if a != 0:
-            _pole_guard(z, digits)
+        threshold = mpf(10) ** (-(digits // 2))
+        for denom in (pole, z) if a != 0 else (pole,):
+            if abs(denom) < threshold:
+                raise PoleError(f"denominator {denom} within pole guard")
         sgn = (-1) ** n
-        r_n = -4 * N * s * z ** 3 - 2 * N * (1 - s) * z + a / z - 2 * z / pole
-        q_n = (4 * N * s * betas[n] * (1 + a * sgn)
-               + 16 * N ** 2 * s ** 2 * betas[n] * (u + betas[n] + betas[n - 1])
-               * (u + betas[n] + betas[n + 1])
-               - a * (1 - sgn) * (N * (1 - s) + 1 / (2 * z * z))
-               - (8 * N * s * betas[n] * z * z + a * (1 - sgn)) / pole
-               + 4 * n * N * s * z * z)
+        r_n = a / z - v0p - 2 * z / pole
+        q_n = (c * betas[n] * (1 + a * sgn)
+               + c * c * betas[n] * (u + betas[n] + betas[n - 1]) * (u + betas[n] + betas[n + 1])
+               - a * (1 - sgn) * (v + 1 / (z * z)) / 2
+               - (2 * c * betas[n] * z * z + a * (1 - sgn)) / pole
+               + n * c * z * z)
         return OdeCoefficients(n=n, z=z, r_n=r_n, q_n=q_n)
 
 
@@ -238,9 +233,10 @@ def pn_ode_residual(n: int, z, params: WeightParams, betas,
         polys = build_polynomials(betas, n + 1)
     with mp.workdps(_work_dps(betas)):
         co = ode_coefficients(n, z, params, betas, ctx)
-        t2 = eval_poly(polys[n], z, 2)
-        t1 = co.r_n * eval_poly(polys[n], z, 1)
-        t0 = co.q_n * eval_poly(polys[n], z)
+        p, dp, t2 = mp.zero, mp.zero, mp.zero     # P, P', P'' in one Horner pass
+        for c in reversed(polys[n].coeffs):
+            t2, dp, p = t2 * co.z + 2 * dp, dp * co.z + p, p * co.z + c
+        t1, t0 = co.r_n * dp, co.q_n * p
         scale = max(abs(t2), abs(t1), abs(t0))
         return abs(t2 + t1 + t0) / scale
 
@@ -277,10 +273,12 @@ def heun_parameters(alpha, big_n, s, n: int,
             raise DomainError("need N s > 0")
         kappa = (N * s) ** (mpf(1) / 3) * n
         q_tilde = (4 * (N * s) ** (mpf(1) / 3) * n / 3) ** (mpf(3) / 2)
+        params = WeightParams(s, alpha, N)
 
-        def r_tilde(z, _N=N, _s=s, _a=alpha):
+        def r_tilde(z):
             z = mpmathify(z)
-            return -(4 * _N * _s * z ** 3 + 2 * _N * (1 - _s) * z - _a / z)
+            *_, a, v0p = _constants(params, z)
+            return a / z - v0p
 
         return HeunParameters(kappa=+kappa,
                               gamma_h=-(1 + alpha) / 2,

@@ -4,7 +4,7 @@
   (mu_{j+k}); its pivots are h_0..h_{n-1}.
 * ``per_entry_table`` -- one closed-form ``mu0`` (pcfd) call per even moment,
   mu_{2k} = mu_0 at alpha + 2k, with no recurrence between entries.
-* ``parabolic_cylinder_D_integral`` -- D_nu(z) by exp-sinh quadrature of its
+* ``parabolic_cylinder_D_integral`` -- D_nu(z) by exp-exp quadrature of its
   integral representation, against mpmath's ``pcfd``.
 * ``ladder_pair_compatibility_residuals`` -- (S1), (S2), (S2') from one
   ``LadderPair`` per index j <= n+1, each converting (s, alpha, N) again.
@@ -13,7 +13,7 @@
 """
 from mpmath import mp, mpf, mpmathify, exp, gamma, fsum
 
-from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_sinh_moments,
+from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
                     ladder_pair, mu0)
 
 
@@ -53,7 +53,7 @@ def parabolic_cylinder_D_integral(nu, z, ctx):
         nu, z = mpmathify(nu), mpmathify(z)
         if nu >= 0:
             raise DomainError("representation requires nu < 0")
-        integral = exp_sinh_moments(-nu - 1, lambda t: t * t / 2 + t * z, 1, ctx)[0]
+        integral = exp_exp_moments(-nu - 1, lambda t: t * t / 2 + t * z, 1, ctx)[0]
         return exp(-z * z / 4) / gamma(-nu) * integral
 
 

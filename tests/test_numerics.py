@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma, besselk
 
 from dfreud import (NumericContext, DomainError, IntegrationError, gamma_log,
-                    barnes_g_log, exp_sinh_moments, central_difference)
+                    barnes_g_log, exp_exp_moments, central_difference)
 from conftest import assert_close
 
 
@@ -86,20 +86,20 @@ class TestBarnesGLog:
 
 
 class TestIntegrateSemiInfinite:
-    """Integrals over (0, inf), all from ``exp_sinh_moments``."""
+    """Integrals over (0, inf), all from ``exp_exp_moments``."""
 
     def test_exponential(self, ctx60):
-        assert_close(exp_sinh_moments(0, lambda y: y, 1, ctx60)[0], 1, mpf(10) ** -48)
+        assert_close(exp_exp_moments(0, lambda y: y, 1, ctx60)[0], 1, mpf(10) ** -48)
 
     def test_sqrt_singularity(self, ctx60):
         # int y^{-1/2} e^{-y} = Gamma(1/2) = sqrt(pi)
         with mp.workdps(70):
-            val = exp_sinh_moments(mpf("-0.5"), lambda y: y, 1, ctx60)[0]
+            val = exp_exp_moments(mpf("-0.5"), lambda y: y, 1, ctx60)[0]
             assert_close(val, sqrt(pi), mpf(10) ** -48, dps=70)
 
     def test_half_gaussian(self, ctx60):
         with mp.workdps(70):
-            val = exp_sinh_moments(0, lambda y: y * y, 1, ctx60)[0]
+            val = exp_exp_moments(0, lambda y: y * y, 1, ctx60)[0]
             assert_close(val, sqrt(pi) / 2, mpf(10) ** -48, dps=70)
 
     @pytest.mark.parametrize("a", ["0.25", "0.5", "1.5", "3"])
@@ -107,14 +107,14 @@ class TestIntegrateSemiInfinite:
         # int y^{a-1+k} e^{-y} = Gamma(a+k): six moments from the shared nodes
         with mp.workdps(70):
             av = mpmathify(a)
-            vals = exp_sinh_moments(av - 1, lambda y: y, 6, ctx60)
+            vals = exp_exp_moments(av - 1, lambda y: y, 6, ctx60)
             for k, val in enumerate(vals):
                 assert abs(val - gamma(av + k)) / gamma(av + k) < mpf(10) ** -50, k
 
     def test_finer_levels_stop_at_the_tails_reach(self, ctx60):
-        # mu_0 at (s, alpha, N) = (1/2, 0, 1) = e^(1/16) K_{1/4}(1/16) / 2: level 0
-        # spans t in [-7, 2], while nodes add above the working epsilon only on
-        # about [-6.05, 1.36]; refining all of level 0's span took 2305 evaluations
+        # mu_0 at (s, alpha, N) = (1/2, 0, 1) = e^(1/16) K_{1/4}(1/16) / 2: finer
+        # levels stop one coarse step past the tails' reach, and the exp-exp map
+        # spends 563 evaluations where the exp-sinh map took 1906
         calls = []
 
         def g(y):
@@ -122,20 +122,20 @@ class TestIntegrateSemiInfinite:
             return (y + y * y) / 2
 
         with mp.workdps(70):
-            val = exp_sinh_moments(mpf("-0.5"), g, 1, ctx60)[0]
+            val = exp_exp_moments(mpf("-0.5"), g, 1, ctx60)[0]
             ref = exp(mpf(1) / 16) * besselk(mpf(1) / 4, mpf(1) / 16) / 2
             assert abs(val - ref) <= mpf(10) ** -50 * ref
-        assert len(calls) <= 2000
+        assert len(calls) <= 600
 
     def test_rejects_nonintegrable(self, ctx60):
         with pytest.raises(DomainError):
-            exp_sinh_moments(-1, lambda y: y, 1, ctx60)
+            exp_exp_moments(-1, lambda y: y, 1, ctx60)
 
-    @pytest.mark.parametrize("p", [0, "-0.5", 3])
+    @pytest.mark.parametrize("p", [0, "-0.5", 3, "-0.99"])
     def test_non_decaying_integrand_raises_quickly(self, p, ctx60):
         start = time.perf_counter()
         with pytest.raises(IntegrationError):
-            exp_sinh_moments(mpmathify(p), lambda y: 0, 1, ctx60)
+            exp_exp_moments(mpmathify(p), lambda y: 0, 1, ctx60)
         assert time.perf_counter() - start < 1
 
 

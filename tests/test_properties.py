@@ -8,10 +8,13 @@
   same beta_n, the polynomials built from Hankel betas are orthonormal against
   quadrature moments, and the Hankel betas lie below the closed-form upper
   bound.
+* Over s in [0, 1], alpha in (-1, 5], N log-uniform in [1/1000, 50] at 30 and
+  60 digits, the exp-exp quadrature moment table matches the closed-form one.
 * Over alpha in (-1, 5] at 30, 60 and 120 digits, the one-call Barnes-G block
   of the log D_n displays matches four ``barnes_g_log`` calls.
 """
 from fractions import Fraction
+from math import log10
 
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -28,6 +31,7 @@ ROUTES = settings(PROPERTY, max_examples=40)
 GRAM = settings(PROPERTY, max_examples=3)
 BOUND = settings(PROPERTY, max_examples=30)
 BARNES = settings(PROPERTY, max_examples=30)
+QUADRATURE = settings(PROPERTY, max_examples=100)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -39,6 +43,10 @@ n_range = st.integers(min_value=2, max_value=8)
 small_s = st.builds(lambda m, e: Fraction(m, 10 ** e), st.integers(1, 100), st.integers(2, 4))
 big_ns = st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominator=100)
 full_box = st.builds(WeightParams, small_s, alphas, big_ns)
+log_uniform_ns = st.builds(lambda x: Fraction(10 ** x).limit_denominator(10 ** 6),
+                           st.floats(min_value=-3, max_value=log10(50)))
+closed_s = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+quadrature_box = st.builds(WeightParams, closed_s, alphas, log_uniform_ns)
 
 
 @PROPERTY
@@ -96,6 +104,17 @@ def test_hankel_betas_below_upper_bound(params, n):
     betas = beta_from_moments(params, n, CTX)
     with mp.workdps(betas.digits_used):
         assert all(betas[j] < upper_bound(j, params, CTX) for j in range(1, n + 1))
+
+
+@QUADRATURE
+@given(params=quadrature_box, digits=st.sampled_from((30, 60)))
+def test_quadrature_table_matches_closed_form(params, digits):
+    ctx = NumericContext(digits=digits)
+    quad = moment_table(params, 4, ctx, source="quadrature")
+    closed = moment_table(params, 4, ctx)
+    with mp.workdps(digits + 10):
+        for got, want in zip(quad.values, closed.values):
+            assert abs(got - want) <= mpf(10) ** -digits * abs(want)
 
 
 @BARNES
