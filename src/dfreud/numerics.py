@@ -149,17 +149,18 @@ def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
     halves h and adds the odd nodes, per side, out to one coarse step 2h past the
     outermost node that added more than that at any coarser level (the centre can be
     negligible before the mass, so a negligible node ends no side), until two levels
-    agree to ``ctx.quad_tol`` in every moment; the level cap grows with log2(digits).  Raises DomainError for p <= -1,
-    and IntegrationError when the levels disagree at the cap or a tail still adds past
-    its bound (D the working digits): y^(p+1) < 10^-D on the left once
-    (p+1)(|t| + e^|t|) > D ln 10; the right tail decays only through g, walked to y = 10^D.
+    agree to ``ctx.quad_tol`` in every moment; the level cap grows with log2(digits).
+    Raises DomainError for p <= -1, and IntegrationError when the levels disagree at
+    the cap or a tail still adds past its bound (D the working digits): y^(p+1) < 10^-D
+    on the left once (p+1)(|t| + e^|t|) > D ln 10; the right tail decays only through
+    g and is walked to y = 10^(8D), which for g = N y covers N down to 10^(2 - 8D).
     """
     with mp.workdps(ctx.digits + 10):
         p = mpmathify(p)
         if p <= -1:
             raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
         sums, d_ln10 = [mp.zero] * count, mp.dps * log(10)
-        t_max = {1: int(d_ln10) + 2, -1: int(log(max(d_ln10 / (p + 1), 1))) + 2}
+        t_max = {1: int(8 * d_ln10) + 2, -1: int(log(max(d_ln10 / (p + 1), 1))) + 2}
 
         def add(t, e, sign, test=True) -> bool:
             """Add the node sign t, e = exp(t), to ``sums``; with ``test``, whether it added."""

@@ -233,10 +233,9 @@ def pn_ode_residual(n: int, z, params: WeightParams, betas,
         polys = build_polynomials(betas, n + 1)
     with mp.workdps(_work_dps(betas)):
         co = ode_coefficients(n, z, params, betas, ctx)
-        p, dp, t2 = mp.zero, mp.zero, mp.zero     # P, P', P'' in one Horner pass
-        for c in reversed(polys[n].coeffs):
-            t2, dp, p = t2 * co.z + 2 * dp, dp * co.z + p, p * co.z + c
-        t1, t0 = co.r_n * dp, co.q_n * p
+        t2 = eval_poly(polys[n], z, 2)
+        t1 = co.r_n * eval_poly(polys[n], z, 1)
+        t0 = co.q_n * eval_poly(polys[n], z)
         scale = max(abs(t2), abs(t1), abs(t0))
         return abs(t2 + t1 + t0) / scale
 
@@ -266,6 +265,7 @@ class HeunParameters:
 
 def heun_parameters(alpha, big_n, s, n: int,
                     ctx: Optional[NumericContext] = None) -> HeunParameters:
+    """Heun limit; DomainError unless N s > 0 and (s, alpha, N) is a valid WeightParams."""
     digits = ctx.digits if ctx is not None else 50
     with mp.workdps(digits + 10):
         alpha, N, s = mpmathify(alpha), mpmathify(big_n), mpmathify(s)

@@ -113,8 +113,7 @@ class TestIntegrateSemiInfinite:
 
     def test_finer_levels_stop_at_the_tails_reach(self, ctx60):
         # mu_0 at (s, alpha, N) = (1/2, 0, 1) = e^(1/16) K_{1/4}(1/16) / 2: finer
-        # levels stop one coarse step past the tails' reach, and the exp-exp map
-        # spends 563 evaluations where the exp-sinh map took 1906
+        # levels stop one coarse step past the tails' reach
         calls = []
 
         def g(y):
@@ -126,6 +125,19 @@ class TestIntegrateSemiInfinite:
             ref = exp(mpf(1) / 16) * besselk(mpf(1) / 4, mpf(1) / 16) / 2
             assert abs(val - ref) <= mpf(10) ** -50 * ref
         assert len(calls) <= 600
+
+    def test_right_tail_reaches_the_smallest_supported_n(self):
+        # int y^(p+k) e^(-N y) = Gamma(p+1+k) / N^(p+1+k); the right walk stops at
+        # y = 10^(8D), D = digits + 10, which covers N down to 10^(2 - 8D)
+        ctx = NumericContext(digits=30)
+        with mp.workdps(40):
+            p, big_n = mpf("-0.5"), mpf(10) ** -318
+            vals = exp_exp_moments(p, lambda y: big_n * y, 2, ctx)
+            for k, val in enumerate(vals):
+                ref = gamma(p + 1 + k) / big_n ** (p + 1 + k)
+                assert abs(val - ref) <= mpf(10) ** -30 * ref, k
+            with pytest.raises(IntegrationError):
+                exp_exp_moments(p, lambda y: mpf(10) ** -320 * y, 1, ctx)
 
     def test_rejects_nonintegrable(self, ctx60):
         with pytest.raises(DomainError):

@@ -238,6 +238,12 @@ class TestHeun:
             assert abs(hp.rho_h + sqrt(mpf(6)) / 9) < mpf(10) ** -45
             assert abs(hp.rho_h + mpf("0.272166")) < mpf("1e-6")
 
+    @pytest.mark.parametrize("alpha, s", [(0, "1.5"), (-1, "0.5"), ("-1.2", "0.5")])
+    def test_rejects_what_is_not_a_weight(self, alpha, s):
+        # r_tilde shares v_0' with the z-ODE, so (s, alpha, N) must be a WeightParams
+        with pytest.raises(DomainError):
+            heun_parameters(alpha, 2, s, 7)
+
     def test_q_tilde(self):
         with mp.workdps(60):
             hp = heun_parameters(0, 2, "0.5", 7)
