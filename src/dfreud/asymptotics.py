@@ -14,7 +14,10 @@ its predicted remainder order:
    produced by an order-by-order series solver applied to the dP_I with the
    substitution beta_m ~ pref(m) (1 + sum_k (a_k + b_k (-1)^m) m^{-k/2});
    the solver reduces to the classical coefficient table at alpha = 0.
-   Truncation after k = 7 leaves an O(n^{-7/2}) remainder.
+   The Jacobian of order k in its newest pair (a_k, b_k) is exactly
+   diag(6, 2), so each order costs one residual evaluation, and one cached
+   solve per point serves both parities.  Truncation after k = 7 leaves an
+   O(n^{-7/2}) remainder.
 
 3. n, N -> infinity with r = n/N fixed (``beta_double_scaling``):
    beta = a0(s) + a1(s)/N + a2(s)/N^2 + O(N^{-3}) where a0 solves the
@@ -34,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from mpmath import mp, mpf, mpmathify, sqrt, matrix, lu_solve, binomial, fsum
+from mpmath import mp, mpf, mpmathify, sqrt, binomial, fsum
 
 from .numerics import NumericContext, DomainError, fraction_to_mpf
 from .moments import WeightParams
@@ -110,9 +113,10 @@ class LargeNCoefficients:
 
     ``d`` holds the seven coefficients multiplying n^{-k/2} for this parity,
     d_k = a_k + b_k (-1)^n; ``symmetric``/``alternating`` expose the (a_k, b_k)
-    split.  The alternating parts vanish identically at alpha = 0, where the
-    symmetric parts reduce to the classical closed-form table (in particular
-    the symmetric n^{-3/2} coefficient is exactly zero).
+    split, one pair of tuples shared by both parities.  The alternating parts
+    vanish identically at alpha = 0, where the symmetric parts reduce to the
+    classical closed-form table (in particular the symmetric n^{-3/2}
+    coefficient is exactly zero).
     """
 
     params: WeightParams
@@ -187,28 +191,13 @@ def _dpi_series_residual(coeffs, s, alpha, N):
 def _solve_string_coefficients(s, alpha, N, kmax: int = 7):
     """(a_k, b_k) for k = 1..kmax by matching orders of the dP_I residual.
 
-    Each order is linear in the newest pair (a_k, b_k); the two components
-    (constant and (-1)^n-alternating) give a 2x2 system.
+    The order-k residual is (6 a_k, 2 b_k) plus terms in the lower pairs, so
+    with (a_k, b_k) still zero one residual gives the pair exactly.
     """
     coeffs = [(mp.zero, mp.zero) for _ in range(_K_SERIES)]
     for k in range(1, kmax + 1):
-        base = _dpi_series_residual(coeffs, s, alpha, N)
-        with_a = list(coeffs)
-        with_a[k - 1] = (mp.one, mp.zero)
-        res_a = _dpi_series_residual(with_a, s, alpha, N)
-        with_b = list(coeffs)
-        with_b[k - 1] = (mp.zero, mp.one)
-        res_b = _dpi_series_residual(with_b, s, alpha, N)
-        M = matrix(2, 2)
-        rhs = matrix(2, 1)
-        M[0, 0] = res_a[k][0] - base[k][0]
-        M[0, 1] = res_b[k][0] - base[k][0]
-        M[1, 0] = res_a[k][1] - base[k][1]
-        M[1, 1] = res_b[k][1] - base[k][1]
-        rhs[0] = -base[k][0]
-        rhs[1] = -base[k][1]
-        sol = lu_solve(M, rhs)
-        coeffs[k - 1] = (sol[0], sol[1])
+        res_a, res_b = _dpi_series_residual(coeffs, s, alpha, N)[k]
+        coeffs[k - 1] = (-res_a / 6, -res_b / 2)
     return coeffs[:kmax]
 
 
@@ -220,27 +209,27 @@ def large_n_coefficients(params: WeightParams, parity: str,
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    return _large_n_coefficients(params, parity, digits)
+    even, odd = _large_n_parities(params, digits)
+    return even if parity == "even" else odd
 
 
 # Bounded so that long parameter sweeps cannot grow it without limit.
 @functools.lru_cache(maxsize=256)
-def _large_n_coefficients(params: WeightParams, parity: str,
-                          digits: int) -> LargeNCoefficients:
+def _large_n_parities(params: WeightParams, digits: int) -> tuple:
+    """The even and odd coefficients at one point, from one string solve."""
     with mp.workdps(digits + 10):
         s, a, N = params.mpfs()
         pairs = _solve_string_coefficients(s, a, N)
-        sign = 1 if parity == "even" else -1
-        d = tuple(+(ak + bk * sign) for ak, bk in pairs)
         sym = tuple(+ak for ak, _ in pairs)
         alt = tuple(+bk for _, bk in pairs)
 
         def prefactor(n, _N=N, _s=s):
             return sqrt(mpf(n)) / (2 * sqrt(3 * _N * _s))
 
-        return LargeNCoefficients(params=params, parity=parity, d=d,
-                                  symmetric=sym, alternating=alt,
-                                  prefactor=prefactor)
+        return tuple(LargeNCoefficients(params=params, parity=parity,
+                                        d=tuple(+(ak + bk * sign) for ak, bk in pairs),
+                                        symmetric=sym, alternating=alt, prefactor=prefactor)
+                     for parity, sign in (("even", 1), ("odd", -1)))
 
 
 def beta_large_n(n: int, params: WeightParams,

@@ -10,11 +10,14 @@
   ``LadderPair`` per index j <= n+1, each converting (s, alpha, N) again.
 * ``barnes_block_four_calls`` -- the Barnes-G block of the log D_n displays
   from four ``barnes_g_log`` calls, without the functional equation.
+* ``string_coefficients_lu`` -- the large-n pairs (a_k, b_k) from a 2x2 LU
+  solve per order, its Jacobian taken from two perturbed residuals.
 """
-from mpmath import mp, mpf, mpmathify, exp, gamma, fsum
+from mpmath import mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve
 
 from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
                     ladder_pair, mu0)
+from dfreud.asymptotics import _K_SERIES, _dpi_series_residual
 
 
 def ldlt_pivots(mus, n: int):
@@ -79,3 +82,28 @@ def barnes_block_four_calls(alpha, ctx):
     """log[ G(3/2) G(1/2) / (G((alpha+3)/2) G((alpha+1)/2)) ]."""
     return (barnes_g_log(mpf(3) / 2, ctx) + barnes_g_log(mpf(1) / 2, ctx)
             - barnes_g_log((alpha + 3) / 2, ctx) - barnes_g_log((alpha + 1) / 2, ctx))
+
+
+def string_coefficients_lu(s, alpha, N, kmax: int = 7):
+    """(a_k, b_k) for k = 1..kmax; each order is a 2x2 system in the newest pair,
+    built from the residual at (a_k, b_k) = (0, 0), (1, 0) and (0, 1)."""
+    coeffs = [(mp.zero, mp.zero) for _ in range(_K_SERIES)]
+    for k in range(1, kmax + 1):
+        base = _dpi_series_residual(coeffs, s, alpha, N)
+        with_a = list(coeffs)
+        with_a[k - 1] = (mp.one, mp.zero)
+        res_a = _dpi_series_residual(with_a, s, alpha, N)
+        with_b = list(coeffs)
+        with_b[k - 1] = (mp.zero, mp.one)
+        res_b = _dpi_series_residual(with_b, s, alpha, N)
+        M = matrix(2, 2)
+        rhs = matrix(2, 1)
+        M[0, 0] = res_a[k][0] - base[k][0]
+        M[0, 1] = res_b[k][0] - base[k][0]
+        M[1, 0] = res_a[k][1] - base[k][1]
+        M[1, 1] = res_b[k][1] - base[k][1]
+        rhs[0] = -base[k][0]
+        rhs[1] = -base[k][1]
+        sol = lu_solve(M, rhs)
+        coeffs[k - 1] = (sol[0], sol[1])
+    return coeffs[:kmax]

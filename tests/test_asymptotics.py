@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, fsum
 
+import dfreud.asymptotics as asymptotics
 from dfreud import (NumericContext, WeightParams, DomainError,
                     beta_at_s0, beta_from_moments,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
@@ -139,6 +140,22 @@ class TestLargeN:
     def test_s0_rejected(self):
         with pytest.raises(DomainError):
             beta_large_n(10, WeightParams(0, 0, 1))
+
+    def test_one_residual_per_order_for_both_parities(self, monkeypatch):
+        # the order-k Jacobian is diag(6, 2): 7 residuals build both parities
+        calls = []
+        residual = asymptotics._dpi_series_residual
+        monkeypatch.setattr(asymptotics, "_dpi_series_residual",
+                            lambda *args: calls.append(args) or residual(*args))
+        asymptotics._large_n_parities.cache_clear()
+        params = WeightParams("3/10", "7/5", 2)
+        for n in range(1, 41):
+            beta_large_n(n, params)
+        assert len(calls) == 7
+        large_n_coefficients(params, "even")
+        large_n_coefficients(params, "odd")
+        beta_large_n(40, params)
+        assert len(calls) == 7
 
 
 class TestDoubleScaling:

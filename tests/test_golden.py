@@ -9,6 +9,9 @@ deliberate changes since are the ``value`` column of the three ``logdet``
 displays, which used to be summed at the ambient 15-digit precision, and
 ``beta_double``, which exited 2 at N = 1 (r = n/N > 1 from n = 2) until
 ``--method double`` took N = n-max when ``--N`` is not given.
+``sweep_largen`` was captured before the large-n string solve went from a
+2x2 LU solve to one residual per order; it and ``beta_largen`` hold that
+solve's digits.
 """
 from pathlib import Path
 
@@ -29,6 +32,7 @@ CASES = {
     "logdet_ratio_10": (("logdet", "--quantity", "ratio_10"), 0),
     "logdet_D0": (("logdet", "--quantity", "D0"), 0),
     "logdet_D1": (("logdet", "--quantity", "D1"), 0),
+    "sweep_largen": (("sweep", "--method", "largen"), 0),
 }
 
 

@@ -12,6 +12,9 @@
   60 digits, the exp-exp quadrature moment table matches the closed-form one.
 * Over alpha in (-1, 5] at 30, 60 and 120 digits, the one-call Barnes-G block
   of the log D_n displays matches four ``barnes_g_log`` calls.
+* Over s in [1/100, 1], alpha in (-1, 5], N in [1/4, 50] at 30 and 60 digits,
+  the large-n string coefficients of both parities match a 2x2 LU solve per
+  order.
 """
 from fractions import Fraction
 from math import log10
@@ -21,9 +24,10 @@ from mpmath import mp, mpf
 
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
-                    beta1_initial, dpi_forward, orthogonality_check, upper_bound)
+                    beta1_initial, dpi_forward, orthogonality_check, upper_bound,
+                    large_n_coefficients)
 from dfreud.detasympt import _barnes_block
-from oracles import barnes_block_four_calls, per_entry_table
+from oracles import barnes_block_four_calls, per_entry_table, string_coefficients_lu
 
 CTX = NumericContext(digits=60)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -32,6 +36,7 @@ GRAM = settings(PROPERTY, max_examples=3)
 BOUND = settings(PROPERTY, max_examples=30)
 BARNES = settings(PROPERTY, max_examples=30)
 QUADRATURE = settings(PROPERTY, max_examples=100)
+STRING = settings(PROPERTY, max_examples=3)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -47,6 +52,9 @@ log_uniform_ns = st.builds(lambda x: Fraction(10 ** x).limit_denominator(10 ** 6
                            st.floats(min_value=-3, max_value=log10(50)))
 closed_s = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 quadrature_box = st.builds(WeightParams, closed_s, alphas, log_uniform_ns)
+large_n_box = st.builds(
+    WeightParams, st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=1000),
+    alphas, big_ns)
 
 
 @PROPERTY
@@ -124,3 +132,20 @@ def test_barnes_block_matches_four_calls(alpha, digits):
     with mp.workdps(digits + 10):
         a = mpf(alpha.numerator) / alpha.denominator
         assert abs(_barnes_block(a, ctx) - barnes_block_four_calls(a, ctx)) <= mpf(10) ** -digits
+
+
+@STRING
+@given(params=large_n_box)
+def test_string_coefficients_match_lu_solve(params):
+    with mp.workdps(70):
+        reference = string_coefficients_lu(*params.mpfs())
+    for digits in (30, 60):
+        ctx = NumericContext(digits=digits)
+        even = large_n_coefficients(params, "even", ctx)
+        odd = large_n_coefficients(params, "odd", ctx)
+        with mp.workdps(digits + 10):
+            tol = mpf(10) ** -digits
+            for k, (a, b) in enumerate(reference):
+                for got, want in ((even.symmetric[k], a), (even.alternating[k], b),
+                                  (even.d[k], a + b), (odd.d[k], a - b)):
+                    assert abs(got - want) <= tol * max(1, abs(want))
