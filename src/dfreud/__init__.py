@@ -17,9 +17,8 @@ Everything runs at user-chosen decimal precision (mpmath underneath) through
 an explicit NumericContext; nothing mutates global precision.
 """
 from .numerics import (NumericContext, DomainError, IntegrationError,
-                       PrecisionExhaustedError, PoleError, SingularCoefficientError,
-                       gamma_log, barnes_g_log, exp_exp_moments,
-                       central_difference)
+                       PrecisionExhaustedError, PoleError, barnes_g_log,
+                       exp_exp_moments, central_difference)
 from .moments import (WeightParams, MomentTable, mu0_quadrature, mu0_closed_form,
                       mu0_gaussian, mu0, parabolic_cylinder_D, moment_table)
 from .hankel import (HankelData, BetaSequence, h_sequence, beta_from_moments,

@@ -16,7 +16,7 @@ Values are emitted as full-precision decimal strings carrying
 min(digits, 50) significant digits; CSV always starts with a header row.
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage or I/O
 error.  The environment variable DFREUD_MAX_DIGITS caps precision escalation
-(default 2000).
+(default 2000); a value that is not an integer >= 30 is a usage error.
 """
 from __future__ import annotations
 
@@ -35,10 +35,13 @@ from .verification import run_suite, SUITES
 
 
 def _max_digits() -> int:
+    value = os.environ.get("DFREUD_MAX_DIGITS", "2000")
     try:
-        return int(os.environ.get("DFREUD_MAX_DIGITS", "2000"))
+        if int(value) >= 30:  # the smallest precision NumericContext accepts
+            return int(value)
     except ValueError:
-        return 2000
+        pass
+    raise DomainError(f"DFREUD_MAX_DIGITS must be an integer >= 30, got {value!r}")
 
 
 def _decimal(x, digits: int) -> str:
@@ -136,7 +139,7 @@ def cmd_hankel_det(args) -> int:
     params = _params(args)
     ctx = NumericContext(digits=args.digits)
     data = hankel.h_sequence(params, args.n, ctx, max_digits=_max_digits())
-    from mpmath import log, fsum
+    from mpmath import log
     rows = []
     with mp.workdps(data.digits_used):
         running = mp.zero

@@ -16,17 +16,18 @@ Asymptotic side.  With n = r N and N -> infinity,
 and integrating over s in [0, 1] connects D_n(1) to the exactly known D_n(0).
 ``appendix_b_coefficients`` evaluates the four coefficient functions:
 
-* A(s), B(s) and C(s) come from the generating construction itself: the
-  exact log-derivative is written once, as N-slices t2, t1, t0 (Laurent
+* All four come from the generating construction itself: the exact
+  log-derivative is written once, as N-slices t2, t1, t0 (Laurent
   polynomials in beta_n) plus its beta_n' term, and substituting
   beta = a0 + a1/N + a2/N^2 (``asymptotics.double_scaling_coefficients``)
-  and collecting powers of N gives A = t2(a0), B = t1(a0) and C; t2'(a0)
-  vanishes because t2' is proportional to the ODE's N^2 slice.
-  The printed closed forms for B and C fail the N-fit cross-check that
+  and collecting powers of N gives A = t2(a0), B = t1(a0), C and D; t2'(a0)
+  vanishes because t2' is proportional to the ODE's N^2 slice, so the N^-3
+  term of beta never enters D.
+* The printed closed forms for B and C fail the N-fit cross-check that
   ``fit_abc`` performs against exact data.  B(s) comes out
   parity-independent with integral -r alpha (log 3 + log r - 1)/4.
-* D(s) stays a transcribed polynomial/surd expression per parity, because
-  deriving it needs the N^-3 term of beta.
+* Nothing divides by f(s) = 1 - 2s - 4rs + s^2: at f(s) = 0, e.g.
+  (s, r, alpha) = (1/2, 1/8, 1), D(s) is 69/128 for even n and -39/128 for odd n.
 
 ``logdet_expansion`` evaluates the large-n displays for log(D_n(1)/D_n(0)),
 log D_n(0) and log D_n(1) through their 1/n terms, with Barnes-G constant
@@ -40,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from mpmath import mp, mpf, mpmathify, log, loggamma, pi, matrix, lu_solve, fsum
+from mpmath import mp, mpf, mpmathify, log, loggamma, pi, matrix, lu_solve, fsum, diff
 
-from .numerics import NumericContext, DomainError, SingularCoefficientError, barnes_g_log
+from .numerics import NumericContext, DomainError, barnes_g_log
 from .moments import WeightParams
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import beta_prime, delta_parity, _laurent
@@ -139,72 +140,20 @@ def _a_coefficient(s, r) -> mpf:
     return _laurent(_logdet_slices(s, r, 0, 0)[0], g_and_g_tilde(s, r)[1] / (12 * s))
 
 
-_F_SINGULAR_TOL = 1e-8
-
-
-def _d_coefficient(s, r, alpha, parity: str) -> mpf:
-    """D(s): the 1/N coefficient, explicit polynomial forms per parity.
-
-    The odd form divides by f(s)^2, f(s) = 1 - 2s - 4rs + s^2, and raises
-    SingularCoefficientError within 1e-8 of f(s) = 0.
-    """
-    g, gt = g_and_g_tilde(s, r)
-    if parity == "even":
-        bracket = 1 + 2 * g - 2 * s * (1 - 6 * r + g) + s * s
-        d0 = -(1 + s) * alpha / (g * gt * gt * bracket ** 3)
-        d1 = g * (-3 + 15 * s - 15 * r * s - 30 * s ** 2 + 45 * r * s ** 2
-                  - 36 * r ** 2 * s ** 2 + 30 * s ** 3 - 45 * r * s ** 3
-                  + 36 * r ** 2 * s ** 3 - 15 * s ** 4 + 15 * r * s ** 4 + 3 * s ** 5
-                  + alpha ** 2 * (-1 + 5 * s - 15 * r * s - 10 * s ** 2
-                                  + 45 * r * s ** 2 + 36 * r ** 2 * s ** 2
-                                  + 10 * s ** 3 - 45 * r * s ** 3
-                                  - 36 * r ** 2 * s ** 3 - 5 * s ** 4
-                                  + 15 * r * s ** 4 + s ** 5))
-        d2 = (3 - 18 * s + 33 * r * s + 45 * s ** 2 - 132 * r * s ** 2
-              + 72 * r ** 2 * s ** 2 - 60 * s ** 3 + 198 * r * s ** 3
-              - 144 * r ** 2 * s ** 3 - 2160 * r ** 3 * s ** 3 + 45 * s ** 4
-              - 132 * r * s ** 4 + 72 * r ** 2 * s ** 4 - 18 * s ** 5
-              + 33 * r * s ** 5 + 3 * s ** 6
-              + alpha ** 2 * (1 - 6 * s + 21 * r * s + 15 * s ** 2
-                              - 84 * r * s ** 2 + 36 * r ** 2 * s ** 2
-                              - 20 * s ** 3 + 126 * r * s ** 3
-                              - 72 * r ** 2 * s ** 3 - 864 * r ** 3 * s ** 3
-                              + 15 * s ** 4 - 84 * r * s ** 4
-                              + 36 * r ** 2 * s ** 4 - 6 * s ** 5
-                              + 21 * r * s ** 5 + s ** 6))
-        return d0 * (d1 + d2)
-    f = 1 - 2 * s - 4 * r * s + s * s
-    if abs(f) < _F_SINGULAR_TOL:
-        raise SingularCoefficientError(f"f(s) = {f} vanishes; the odd D(s) divides by f(s)^2")
-    d0 = alpha / (4 * f * f * g ** 5)
-    d1 = g * (1 - 4 * s + 56 * r * s + 5 * s ** 2 - 112 * r * s ** 2
-              + 272 * r ** 2 * s ** 2 - 5 * s ** 4 + 112 * r * s ** 4
-              - 272 * r ** 2 * s ** 4 + 4 * s ** 5 - 56 * r * s ** 5 - s ** 6
-              + alpha ** 2 * (-1 + 4 * s - 24 * r * s - 5 * s ** 2
-                              + 48 * r * s ** 2 - 144 * r ** 2 * s ** 2
-                              + 5 * s ** 4 - 48 * r * s ** 4
-                              + 144 * r ** 2 * s ** 4 - 4 * s ** 5
-                              + 24 * r * s ** 5 + s ** 6))
-    d2 = (-2 + 10 * s - 64 * r * s - 18 * s ** 2 + 192 * r * s ** 2
-          - 544 * r ** 2 * s ** 2 + 10 * s ** 3 - 128 * r * s ** 3
-          + 544 * r ** 2 * s ** 3 - 768 * r ** 3 * s ** 3 + 10 * s ** 4
-          - 128 * r * s ** 4 + 544 * r ** 2 * s ** 4 - 768 * r ** 3 * s ** 4
-          - 18 * s ** 5 + 192 * r * s ** 5 - 544 * r ** 2 * s ** 5
-          + 10 * s ** 6 - 64 * r * s ** 6 - 2 * s ** 7
-          + alpha ** 2 * (1 - 5 * s + 32 * r * s + 9 * s ** 2 - 96 * r * s ** 2
-                          + 272 * r ** 2 * s ** 2 - 5 * s ** 3 + 64 * r * s ** 3
-                          - 272 * r ** 2 * s ** 3 + 384 * r ** 3 * s ** 3
-                          - 5 * s ** 4 + 64 * r * s ** 4
-                          - 272 * r ** 2 * s ** 4 + 384 * r ** 3 * s ** 4
-                          + 9 * s ** 5 - 96 * r * s ** 5
-                          + 272 * r ** 2 * s ** 5 - 5 * s ** 6
-                          + 32 * r * s ** 6 + s ** 7))
-    return d0 * (d1 + d2)
-
-
 def appendix_b_coefficients(s, r, alpha, parity: str,
                             ctx: Optional[NumericContext] = None) -> AppendixBCoefficients:
     """Evaluate A(s), B(s), C(s), D(s) for n of the given parity at n = r N.
+
+    Substituting beta = a0 + a1/N + a2/N^2 + a3/N^3 into N^2 t2 + N t1 + t0 + T
+    (the slices and the beta'-term T of ``logdet_derivative_exact``) and
+    collecting powers of N gives all four; t2'(a0) = 0, so a1 never enters B,
+    a2 never enters C and a3 never enters
+
+        D = t2''(a0) a1 a2 + t2'''(a0) a1^3/6 + t1'(a0) a2 + t1''(a0) a1^2/2
+            + t0'(a0) a1 + T_beta a1 + T_beta' a1',
+
+    where a1' = da1/ds at fixed r comes from mpmath's ``diff``.  Nothing
+    divides by f(s) = 1 - 2s - 4rs + s^2, so f(s) = 0 is a regular point.
 
     A(s), and B(s), C(s), D(s) for one parity or the other, lose about three
     digits per decade of 1/s to cancellation, so the working precision grows
@@ -217,15 +166,22 @@ def appendix_b_coefficients(s, r, alpha, parity: str,
         if not (0 < s <= 1):
             raise DomainError("s must lie in (0, 1]")
         ds = double_scaling_coefficients(s, r, alpha, parity)
-        a0, a0p, a1 = ds.a0, ds.a0p, ds.a1
+        a0, a0p, a1, a2 = ds.a0, ds.a0p, ds.a1, ds.a2
+        # a central difference at 2(prec + 20) bits with step 2^-(prec + 10):
+        # its error lies far below the working precision
+        a1p = diff(lambda x: double_scaling_coefficients(x, r, alpha, parity).a1, s)
         t2, t1, t0 = _logdet_slices(s, r, alpha, 0 if parity == "even" else 1)
         # t2'(x) = -4 s^2 S2(x)/((1+s) x) with S2 the ODE's N^2 slice, so
-        # t2'(a0) = 0 and neither a1 enters B nor a2 enters C
+        # t2'(a0) = 0 and neither a1 enters B, a2 enters C nor a3 enters D
         a_s = _laurent(t2, a0)
         b_s = _laurent(t1, a0)
         c_s = (_laurent(t2, a0, 2) * a1 ** 2 / 2 + _laurent(t1, a0, 1) * a1
                + _laurent(t0, a0) + _logdet_beta_prime_term(s, a0, a0p))
-        d_s = _d_coefficient(s, r, alpha, parity)
+        # T_beta a1 + T_beta' a1': the change of T along (a1, a1')
+        dt = -2 * s / (1 + s) * (s * a0p * (2 * a1p - a0p * a1 / a0) / a0 + a1p)
+        d_s = (_laurent(t2, a0, 2) * a1 * a2 + _laurent(t2, a0, 3) * a1 ** 3 / 6
+               + _laurent(t1, a0, 1) * a2 + _laurent(t1, a0, 2) * a1 ** 2 / 2
+               + _laurent(t0, a0, 1) * a1 + dt)
         return AppendixBCoefficients(s=+s, r=+r, alpha=+alpha, parity=parity,
                                      a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s,
                                      g_s=+ds.g_s, g_tilde=+ds.g_tilde, f_s=+ds.f_s)

@@ -11,10 +11,10 @@ Provided here:
 
 * ``NumericContext`` -- decimal working precision plus quadrature / finite
   difference policy, threaded explicitly through every numeric operation.
-* ``gamma_log`` / ``barnes_g_log`` -- log Gamma and log of the Barnes G-function,
-  normalised by G(1) = G(2) = 1 with G(z+1) = Gamma(z) G(z).  Both come from
-  mpmath (``loggamma``, ``barnesg``) evaluated with guard digits; so does the
-  Glaisher constant ``mp.glaisher`` used by the determinant asymptotics.
+* ``barnes_g_log`` -- log of the Barnes G-function, normalised by
+  G(1) = G(2) = 1 with G(z+1) = Gamma(z) G(z).  It comes from mpmath
+  (``barnesg``) evaluated with guard digits; so does the Glaisher constant
+  ``mp.glaisher`` used by the determinant asymptotics.
 * ``exp_exp_moments`` -- the moments int_0^inf y^(p+k) exp(-g(y)) dy, k < count,
   p > -1, from one exp-exp (double-exponential, Takahasi & Mori 1974) trapezoid
   whose nodes all the moments share; the endpoint behaviour y^p needs no substitution.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mp, mpf, mpmathify, loggamma, log, exp, barnesg
+from mpmath import mp, mpf, mpmathify, log, exp, barnesg
 
 
 class DomainError(ValueError):
@@ -48,10 +48,6 @@ class PrecisionExhaustedError(ArithmeticError):
 
 class PoleError(ValueError):
     """Evaluation requested too close to a pole of a rational coefficient."""
-
-
-class SingularCoefficientError(ValueError):
-    """An expansion coefficient is singular at the requested parameters."""
 
 
 def to_fraction(value) -> Fraction:
@@ -108,19 +104,6 @@ class NumericContext:
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
-
-def gamma_log(x, ctx: NumericContext) -> mpf:
-    """log Gamma(x) for real x > 0.
-
-    Backed by mpmath's precision-parameterised Gamma; the extra ten working
-    digits keep the relative error of exp(result) below 10**(-digits+5).
-    """
-    with mp.workdps(ctx.digits + 10):
-        x = mpmathify(x)
-        if x <= 0:
-            raise DomainError(f"gamma_log requires x > 0, got {x}")
-        return +loggamma(x).real
-
 
 def barnes_g_log(z, ctx: NumericContext) -> mpf:
     """log G(z) for real z > 0, with G(1) = G(2) = 1 and G(z+1) = Gamma(z) G(z).

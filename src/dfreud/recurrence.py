@@ -166,8 +166,9 @@ def beta_second(n: int, betas, params: WeightParams) -> mpf:
 
 def _laurent(terms, x, d: int = 0) -> mpf:
     """sum c x^k over the (k, c) pairs of a Laurent polynomial in x, or its
-    d-th x-derivative for d = 1 or 2."""
-    return fsum(c * (1, k, k * (k - 1))[d] * x ** (k - d) for k, c in terms)
+    d-th x-derivative for d = 1, 2 or 3."""
+    return fsum(c * (1, k, k * (k - 1), k * (k - 1) * (k - 2))[d] * x ** (k - d)
+                for k, c in terms)
 
 
 def _ode_slices(s, r, alpha, dn: int) -> tuple:

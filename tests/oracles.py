@@ -12,12 +12,14 @@
   from four ``barnes_g_log`` calls, without the functional equation.
 * ``string_coefficients_lu`` -- the large-n pairs (a_k, b_k) from a 2x2 LU
   solve per order, its Jacobian taken from two perturbed residuals.
+* ``d_coefficient_transcribed`` -- the 1/N coefficient D(s) of d/ds log D_n as
+  transcribed polynomials per parity, not derived from the log-derivative slices.
 """
 from mpmath import mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve
 
 from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
                     ladder_pair, mu0)
-from dfreud.asymptotics import _K_SERIES, _dpi_series_residual
+from dfreud.asymptotics import _K_SERIES, _dpi_series_residual, g_and_g_tilde
 
 
 def ldlt_pivots(mus, n: int):
@@ -107,3 +109,58 @@ def string_coefficients_lu(s, alpha, N, kmax: int = 7):
         sol = lu_solve(M, rhs)
         coeffs[k - 1] = (sol[0], sol[1])
     return coeffs[:kmax]
+
+
+def d_coefficient_transcribed(s, r, alpha, parity: str):
+    """D(s) from the explicit polynomial/surd forms per parity, at the caller's
+    working precision; the odd form divides by f(s)^2, f(s) = 1 - 2s - 4rs + s^2."""
+    g, gt = g_and_g_tilde(s, r)
+    if parity == "even":
+        bracket = 1 + 2 * g - 2 * s * (1 - 6 * r + g) + s * s
+        d0 = -(1 + s) * alpha / (g * gt * gt * bracket ** 3)
+        d1 = g * (-3 + 15 * s - 15 * r * s - 30 * s ** 2 + 45 * r * s ** 2
+                  - 36 * r ** 2 * s ** 2 + 30 * s ** 3 - 45 * r * s ** 3
+                  + 36 * r ** 2 * s ** 3 - 15 * s ** 4 + 15 * r * s ** 4 + 3 * s ** 5
+                  + alpha ** 2 * (-1 + 5 * s - 15 * r * s - 10 * s ** 2
+                                  + 45 * r * s ** 2 + 36 * r ** 2 * s ** 2
+                                  + 10 * s ** 3 - 45 * r * s ** 3
+                                  - 36 * r ** 2 * s ** 3 - 5 * s ** 4
+                                  + 15 * r * s ** 4 + s ** 5))
+        d2 = (3 - 18 * s + 33 * r * s + 45 * s ** 2 - 132 * r * s ** 2
+              + 72 * r ** 2 * s ** 2 - 60 * s ** 3 + 198 * r * s ** 3
+              - 144 * r ** 2 * s ** 3 - 2160 * r ** 3 * s ** 3 + 45 * s ** 4
+              - 132 * r * s ** 4 + 72 * r ** 2 * s ** 4 - 18 * s ** 5
+              + 33 * r * s ** 5 + 3 * s ** 6
+              + alpha ** 2 * (1 - 6 * s + 21 * r * s + 15 * s ** 2
+                              - 84 * r * s ** 2 + 36 * r ** 2 * s ** 2
+                              - 20 * s ** 3 + 126 * r * s ** 3
+                              - 72 * r ** 2 * s ** 3 - 864 * r ** 3 * s ** 3
+                              + 15 * s ** 4 - 84 * r * s ** 4
+                              + 36 * r ** 2 * s ** 4 - 6 * s ** 5
+                              + 21 * r * s ** 5 + s ** 6))
+        return d0 * (d1 + d2)
+    f = 1 - 2 * s - 4 * r * s + s * s
+    d0 = alpha / (4 * f * f * g ** 5)
+    d1 = g * (1 - 4 * s + 56 * r * s + 5 * s ** 2 - 112 * r * s ** 2
+              + 272 * r ** 2 * s ** 2 - 5 * s ** 4 + 112 * r * s ** 4
+              - 272 * r ** 2 * s ** 4 + 4 * s ** 5 - 56 * r * s ** 5 - s ** 6
+              + alpha ** 2 * (-1 + 4 * s - 24 * r * s - 5 * s ** 2
+                              + 48 * r * s ** 2 - 144 * r ** 2 * s ** 2
+                              + 5 * s ** 4 - 48 * r * s ** 4
+                              + 144 * r ** 2 * s ** 4 - 4 * s ** 5
+                              + 24 * r * s ** 5 + s ** 6))
+    d2 = (-2 + 10 * s - 64 * r * s - 18 * s ** 2 + 192 * r * s ** 2
+          - 544 * r ** 2 * s ** 2 + 10 * s ** 3 - 128 * r * s ** 3
+          + 544 * r ** 2 * s ** 3 - 768 * r ** 3 * s ** 3 + 10 * s ** 4
+          - 128 * r * s ** 4 + 544 * r ** 2 * s ** 4 - 768 * r ** 3 * s ** 4
+          - 18 * s ** 5 + 192 * r * s ** 5 - 544 * r ** 2 * s ** 5
+          + 10 * s ** 6 - 64 * r * s ** 6 - 2 * s ** 7
+          + alpha ** 2 * (1 - 5 * s + 32 * r * s + 9 * s ** 2 - 96 * r * s ** 2
+                          + 272 * r ** 2 * s ** 2 - 5 * s ** 3 + 64 * r * s ** 3
+                          - 272 * r ** 2 * s ** 3 + 384 * r ** 3 * s ** 3
+                          - 5 * s ** 4 + 64 * r * s ** 4
+                          - 272 * r ** 2 * s ** 4 + 384 * r ** 3 * s ** 4
+                          + 9 * s ** 5 - 96 * r * s ** 5
+                          + 272 * r ** 2 * s ** 5 - 5 * s ** 6
+                          + 32 * r * s ** 6 + s ** 7))
+    return d0 * (d1 + d2)

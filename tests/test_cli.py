@@ -213,3 +213,11 @@ class TestPrecisionCap:
                                "--digits", "60")
         assert code == 1
         assert "failed" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_cap_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DFREUD_MAX_DIGITS", value)
+        code, out, err = run_cli(capsys, "hankel-det", "--n", "3")
+        assert code == 2
+        assert "DFREUD_MAX_DIGITS" in err
+        assert out == ""

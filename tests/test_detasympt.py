@@ -1,8 +1,7 @@
 import pytest
 from mpmath import mp, mpf, mpmathify, log, sqrt, pi, quad
 
-from dfreud import (NumericContext, WeightParams, DomainError,
-                    SingularCoefficientError, logdet_derivative_exact,
+from dfreud import (NumericContext, WeightParams, DomainError, logdet_derivative_exact,
                     logdet_derivative_sum, appendix_b_coefficients, fit_abc,
                     logdet_expansion, mehta_normand_logD0, central_difference,
                     beta_from_moments)
@@ -74,16 +73,20 @@ class TestAppendixB:
         with mp.workdps(45):
             r, al = mpf(1), mpf(1)
             for parity in ("even", "odd"):
-                ib = quad(lambda x: appendix_b_coefficients(x, r, al, parity, ctx).b_s,
-                          [0, 1], method="gauss-legendre")
+                nodes = {}  # one evaluation per quadrature node serves b, c and d
+
+                def coeffs(x):
+                    if x not in nodes:
+                        nodes[x] = appendix_b_coefficients(x, r, al, parity, ctx)
+                    return nodes[x]
+
+                ib = quad(lambda x: coeffs(x).b_s, [0, 1], method="gauss-legendre")
                 want_b = -r * al * (-1 + log(mpf(3)) + log(r)) / 4
                 assert abs(ib - want_b) < mpf(10) ** -8
-                ic = quad(lambda x: appendix_b_coefficients(x, r, al, parity, ctx).c_s,
-                          [0, 1], method="gauss-legendre")
+                ic = quad(lambda x: coeffs(x).c_s, [0, 1], method="gauss-legendre")
                 want_c = (3 * al ** 2 - 1) * log(mpf(2)) / 12 - al ** 2 * log(mpf(3)) / 4
                 assert abs(ic - want_c) < mpf(10) ** -8
-                idd = quad(lambda x: appendix_b_coefficients(x, r, al, parity, ctx).d_s,
-                           [0, 1], method="gauss-legendre")
+                idd = quad(lambda x: coeffs(x).d_s, [0, 1], method="gauss-legendre")
                 want_d = (al * (al ** 2 + 3) / (48 * r) if parity == "even"
                           else al * (al ** 2 - 3) / (48 * r))
                 assert abs(idd - want_d) < mpf(10) ** -8
@@ -125,10 +128,29 @@ class TestAppendixB:
                 assert abs(getattr(lo, name) - ref) <= mpf(10) ** -digits * abs(ref), name
 
     def test_singularities_raise(self):
-        with pytest.raises(SingularCoefficientError):
-            appendix_b_coefficients("0.5", "0.125", 1, "odd")  # f(s) = 0
+        with pytest.raises(DomainError):
+            appendix_b_coefficients(0, 1, 1, "even")  # the slices divide by s
         with pytest.raises(DomainError):
             appendix_b_coefficients("1.5", 1, 1, "even")
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_f_zero_is_regular(self, parity):
+        # f(s) = 1 - 2s - 4rs + s^2 vanishes at (s, r) = (1/2, 1/8): D(s) is
+        # finite there, and the exact log-derivative approaches the expansion
+        # with an O(1/N) remainder after the D/N term (N = 8n)
+        want, ns = {"even": (69, (22, 42)), "odd": (-39, (21, 41))}[parity]
+        digits = 40
+        ctx = NumericContext(digits=digits)
+        co = appendix_b_coefficients("0.5", "0.125", 1, parity, ctx)
+        with mp.workdps(digits + 10):
+            assert abs(co.d_s - mpf(want) / 128) <= mpf(10) ** -digits
+            errs = []
+            for n in ns:
+                N = 8 * n
+                exact = logdet_derivative_exact(n, WeightParams("0.5", 1, N), ctx)
+                errs.append(abs(N * (exact - co.a_s * N ** 2 - co.b_s * N - co.c_s) - co.d_s))
+            rate = mpf(ns[1]) / ns[0]
+            assert rate / 2 <= errs[0] / errs[1] <= 2 * rate
 
     def test_fit_recovers_coefficients(self):
         # the N-expansion cross-check at s = 1/2 (acceptance-scale grid)

@@ -2,10 +2,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma, besselk
+from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma, besselk, loggamma
 
-from dfreud import (NumericContext, DomainError, IntegrationError, gamma_log,
-                    barnes_g_log, exp_exp_moments, central_difference)
+from dfreud import (NumericContext, DomainError, IntegrationError, barnes_g_log,
+                    exp_exp_moments, central_difference)
 from conftest import assert_close
 
 
@@ -20,33 +20,6 @@ class TestNumericContext:
             NumericContext(digits=10)
 
 
-class TestGammaLog:
-    def test_at_one(self, ctx60):
-        assert_close(gamma_log(1, ctx60), 0, mpf(10) ** -55)
-
-    def test_at_half(self, ctx60):
-        with mp.workdps(70):
-            assert_close(gamma_log(mpf(1) / 2, ctx60), log(sqrt(pi)), mpf(10) ** -55, dps=70)
-
-    def test_five_halves(self, ctx60):
-        # Gamma(5/2) = 3 sqrt(pi) / 4 by the recurrence from Gamma(1/2)
-        with mp.workdps(70):
-            assert_close(gamma_log(mpf(5) / 2, ctx60), log(3 * sqrt(pi) / 4),
-                         mpf(10) ** -55, dps=70)
-
-    def test_nonpositive(self, ctx60):
-        with pytest.raises(DomainError):
-            gamma_log(0, ctx60)
-
-    def test_recurrence_grid(self, ctx60):
-        # |log G(x+1) - log G(x) - log x| small across x in {0.3, ..., 10}
-        with mp.workdps(80):
-            for i in range(20):
-                x = mpf("0.3") + i * mpf("0.5")
-                resid = gamma_log(x + 1, ctx60) - gamma_log(x, ctx60) - log(x)
-                assert abs(resid) < mpf(10) ** (-60 + 8)
-
-
 class TestBarnesGLog:
     def test_g2_is_zero(self, ctx60):
         assert_close(barnes_g_log(2, ctx60), 0, mpf(10) ** -50)
@@ -59,7 +32,7 @@ class TestBarnesGLog:
     def test_z11_matches_pure_recursion(self, ctx60):
         # recursion oracle seeded at G(1) = 1
         with mp.workdps(80):
-            rec = mp.fsum(gamma_log(k, ctx60) for k in range(1, 11))
+            rec = mp.fsum(loggamma(k).real for k in range(1, 11))
             assert abs(barnes_g_log(11, ctx60) - rec) < mpf(10) ** -10
 
     def test_functional_equation_half_integers(self):
@@ -67,7 +40,7 @@ class TestBarnesGLog:
         with mp.workdps(80):
             for i in range(15):
                 z = 1 + i * mpf("0.5")
-                resid = (barnes_g_log(z + 1, ctx) - gamma_log(z, ctx)
+                resid = (barnes_g_log(z + 1, ctx) - loggamma(z).real
                          - barnes_g_log(z, ctx))
                 assert abs(resid) < mpf(10) ** -20
 

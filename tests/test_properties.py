@@ -15,19 +15,23 @@
 * Over s in [1/100, 1], alpha in (-1, 5], N in [1/4, 50] at 30 and 60 digits,
   the large-n string coefficients of both parities match a 2x2 LU solve per
   order.
+* Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
+  D(s) from the log-derivative slices matches the transcribed polynomials of
+  both parities.
 """
 from fractions import Fraction
 from math import log10
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
                     beta1_initial, dpi_forward, orthogonality_check, upper_bound,
-                    large_n_coefficients)
+                    large_n_coefficients, appendix_b_coefficients)
 from dfreud.detasympt import _barnes_block
-from oracles import barnes_block_four_calls, per_entry_table, string_coefficients_lu
+from oracles import (barnes_block_four_calls, d_coefficient_transcribed, per_entry_table,
+                     string_coefficients_lu)
 
 CTX = NumericContext(digits=60)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -37,6 +41,7 @@ BOUND = settings(PROPERTY, max_examples=30)
 BARNES = settings(PROPERTY, max_examples=30)
 QUADRATURE = settings(PROPERTY, max_examples=100)
 STRING = settings(PROPERTY, max_examples=3)
+D_COEFFICIENT = settings(PROPERTY, max_examples=50)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -52,9 +57,9 @@ log_uniform_ns = st.builds(lambda x: Fraction(10 ** x).limit_denominator(10 ** 6
                            st.floats(min_value=-3, max_value=log10(50)))
 closed_s = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 quadrature_box = st.builds(WeightParams, closed_s, alphas, log_uniform_ns)
-large_n_box = st.builds(
-    WeightParams, st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=1000),
-    alphas, big_ns)
+large_n_s = st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=1000)
+large_n_box = st.builds(WeightParams, large_n_s, alphas, big_ns)
+ratios = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: r > 0)
 
 
 @PROPERTY
@@ -149,3 +154,19 @@ def test_string_coefficients_match_lu_solve(params):
                 for got, want in ((even.symmetric[k], a), (even.alternating[k], b),
                                   (even.d[k], a + b), (odd.d[k], a - b)):
                     assert abs(got - want) <= tol * max(1, abs(want))
+
+
+@D_COEFFICIENT
+@given(s=large_n_s, r=ratios, alpha=alphas)
+def test_d_coefficient_matches_transcription(s, r, alpha):
+    # the transcribed odd form divides by f(s)^2 and is undefined at f(s) = 0
+    assume(1 - 2 * s - 4 * r * s + s * s != 0)
+    for digits in (30, 60):
+        ctx = NumericContext(digits=digits)
+        with mp.workdps(digits + 100):
+            s_, r_, a_ = (mpf(x.numerator) / x.denominator for x in (s, r, alpha))
+        for parity in ("even", "odd"):
+            got = appendix_b_coefficients(s_, r_, a_, parity, ctx).d_s
+            with mp.workdps(digits + 100):
+                want = d_coefficient_transcribed(s_, r_, a_, parity)
+                assert abs(got - want) <= mpf(10) ** -digits * max(1, abs(want))
