@@ -37,7 +37,7 @@ from .polynomials import (MonicPolynomial, LadderPair, OdeCoefficients,
                           HeunParameters, build_polynomials, eval_poly,
                           ladder_pair, lowering_residual, compatibility_residuals,
                           sum_rule_residual, ode_coefficients, pn_ode_residual,
-                          heun_parameters, heun_operator_residual,
+                          identity_residuals, heun_parameters, heun_operator_residual,
                           orthogonality_check)
 from .detasympt import (AppendixBCoefficients, LogDetExpansion,
                         logdet_derivative_exact, logdet_derivative_sum,

@@ -5,15 +5,15 @@ Subcommands
 moments      mu_0..mu_max by closed form or quadrature
 beta         beta_n by route: hankel | dpi | smalls | largen | double
 hankel-det   Hankel pivots h_j and log D_n
-poly-ode     ladder / compatibility / ODE residuals on a z-grid
+poly-ode     relative ladder / compatibility / ODE residuals on a z-grid
 logdet       exact d/ds log D_n, or the large-n displays (ratio_10, D0, D1)
 sensitivity  perturbed dP_I trajectories (plot-ready long format)
 verify       run a named verification suite, emit a JSON report
 sweep        beta_n over an s-grid (plot-ready)
 
 Shared flags: --s --alpha --N --digits --format csv|json --out PATH.
-Values are emitted as full-precision decimal strings carrying
-min(digits, 50) significant digits; CSV always starts with a header row.
+Values are emitted as decimal strings carrying min(digits, 50) significant
+digits (poly-ode's round-off residuals: 3); CSV always starts with a header row.
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage or I/O
 error.  The environment variable DFREUD_MAX_DIGITS caps precision escalation
 (default 2000); a value that is not an integer >= 30 is a usage error.
@@ -157,18 +157,9 @@ def cmd_poly_ode(args) -> int:
     zgrid = [z.strip() for z in args.z_grid.split(",") if z.strip()]
     betas = hankel.beta_from_moments(params, args.n_max + 2, ctx,
                                      max_digits=_max_digits())
-    polys_list = polynomials.build_polynomials(betas, args.n_max + 1)
-    rows = []
-    with mp.workdps(betas.digits_used):
-        for n in range(1, args.n_max + 1):
-            for zs in zgrid:
-                z = mpmathify(zs)
-                low = polynomials.lowering_residual(n, z, params, betas, polys_list)
-                r1, r2, r2p = polynomials.compatibility_residuals(n, z, params, betas)
-                ode = polynomials.pn_ode_residual(n, z, params, betas, polys_list, ctx)
-                rows.append((n, zs, _decimal(abs(low), 20), _decimal(abs(r1), 20),
-                             _decimal(abs(r2), 20), _decimal(abs(r2p), 20),
-                             _decimal(ode, 20)))
+    rows = [(n, zs, *(_decimal(r, 3) for r in
+                      polynomials.identity_residuals(n, zs, params, betas, ctx).values()))
+            for n in range(1, args.n_max + 1) for zs in zgrid]
     _emit(("n", "z", "lowering", "S1", "S2", "S2prime", "ode_rel"),
           rows, args.format, args.out)
     return 0

@@ -31,8 +31,7 @@ from .moments import WeightParams, moment_table
 
 DEFAULT_MAX_DIGITS = 2000
 
-Route = Literal["hankel", "dpi", "expansion_smalls", "expansion_largen",
-                "expansion_double"]
+Route = Literal["hankel", "dpi"]
 
 
 @dataclass(frozen=True)

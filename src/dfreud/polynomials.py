@@ -1,9 +1,9 @@
 """Monic orthogonal polynomials, ladder operators, and their second-order ODE.
 
-The polynomials are held as full coefficient vectors built from the three-term
-recurrence P_{n+1} = z P_n - beta_n P_{n-1}, so derivatives are exact
-coefficient operations and the even/odd parity zeros are exact (the recurrence
-never mixes parities).
+P_n, P_n' and P_n'' come from one O(n) pass of the three-term recurrence
+P_{n+1} = z P_n - beta_n P_{n-1} and its z-derivatives.  Horner's rule over the
+coefficients would cancel, as they grow and alternate (Gautschi, Orthogonal
+Polynomials, OUP 2004, section 2.1); only the Gram contraction uses them.
 
 The ladder machinery for v_0(x) = N s x^4 + N (1-s) x^2:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, sqrt, fsum, polyval
+from mpmath import mp, mpf, mpmathify, sqrt, fsum
 from mpmath import quad  # noqa: F401  -- unused here; bench/tracer.py spans polynomials.quad
 
 from .numerics import NumericContext, DomainError, PoleError
@@ -40,49 +40,50 @@ from .recurrence import delta_parity
 
 @dataclass(frozen=True)
 class MonicPolynomial:
-    """Coefficient form of P_n: coeffs[k] multiplies z^k, leading coefficient 1."""
+    """P_n as the recurrence defines it from betas[1..n-1] (betas[k] is beta_k)."""
 
     n: int
-    coeffs: tuple
-    params: WeightParams
+    betas: tuple
 
 
 def _work_dps(betas) -> int:
     """Precision for operations on a beta sequence: never below its own."""
-    if isinstance(betas, BetaSequence):
-        return max(mp.dps, betas.digits_used)
-    return mp.dps
+    return max(mp.dps, getattr(betas, "digits_used", 0))
 
 
-def build_polynomials(betas: BetaSequence | Sequence, n_max: int,
-                      params: Optional[WeightParams] = None) -> list[MonicPolynomial]:
-    """P_0..P_{n_max} from the recurrence P_{n+1} = z P_n - beta_n P_{n-1}."""
-    if isinstance(betas, BetaSequence):
-        params = betas.params
-        seq = betas.betas
-    else:
-        seq = tuple(betas)
-    if len(seq) < n_max:
+def _recurrence(n: int, betas, z, order: int) -> tuple:
+    """(P_{n-1}, P_n, P_n', P_n'')(z) cut after the ``order``-th derivative, from
+    P_{k+1} = z P_k - beta_k P_{k-1}, P'_{k+1} = P_k + z P'_k - beta_k P'_{k-1}
+    and P''_{k+1} = 2 P'_k + z P''_k - beta_k P''_{k-1}, starting at P_{-1} = 0."""
+    p0, p1, d0, d1, e0, e1 = mp.zero, mp.one, mp.zero, mp.zero, mp.zero, mp.zero
+    for k in range(n):
+        b = betas[k]
+        if order == 2:
+            e0, e1 = e1, 2 * d1 + z * e1 - b * e0
+        if order:
+            d0, d1 = d1, p1 + z * d1 - b * d0
+        p0, p1 = p1, z * p1 - b * p0
+    return (p0, p1, d1, e1)[: order + 2]
+
+
+def build_polynomials(betas: BetaSequence | Sequence, n_max: int) -> list[MonicPolynomial]:
+    """P_0..P_{n_max} as views on the recurrence coefficients."""
+    if len(betas) < n_max:
         raise DomainError("beta sequence too short for requested degree")
-    with mp.workdps(_work_dps(betas)):
-        polys = [[mp.one], [mp.zero, mp.one]]
-        for n in range(1, n_max):
-            shifted = [mp.zero] + list(polys[n])          # z * P_n
-            for i, c in enumerate(polys[n - 1]):          # - beta_n * P_{n-1}
-                shifted[i] -= seq[n] * c
-            polys.append(shifted)
-    return [MonicPolynomial(n=k, coeffs=tuple(c), params=params)
-            for k, c in enumerate(polys[: n_max + 1])]
+    return [MonicPolynomial(n=k, betas=tuple(betas[:k])) for k in range(n_max + 1)]
 
 
 def eval_poly(poly: MonicPolynomial, z, derivative_order: int = 0) -> mpf:
-    """Value of P, P' or P'' at z by Horner evaluation of the coefficients."""
+    """Value of P, P' or P'' at z from one pass of the recurrence."""
     if derivative_order not in (0, 1, 2):
         raise DomainError("derivative_order must be 0, 1 or 2")
-    coeffs = list(poly.coeffs)
-    for _ in range(derivative_order):
-        coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
-    return polyval(coeffs[::-1], mpmathify(z))
+    return _recurrence(poly.n, poly.betas, mpmathify(z), derivative_order)[-1]
+
+
+def _check_index(n: int, betas, lowest: int = 1) -> None:
+    """DomainError unless lowest <= n and beta_{n+1} (read at index n) exists."""
+    if not lowest <= n <= len(betas) - 2:
+        raise DomainError(f"index {n} outside {lowest}..{len(betas) - 2}: needs beta_{n + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +108,9 @@ def _constants(params: WeightParams, z) -> tuple:
     return c, v, a, c * z ** 3 + v * z
 
 
-def v0_prime(z, params: WeightParams) -> mpf:
-    return _constants(params, mpmathify(z))[3]
-
-
 def _ladder(j: int, z, c, v, a, betas) -> tuple:
     """(A_j(z), B_j(z)) from ``_constants``; the 1/z term of B_j exists iff j is odd."""
+    _check_index(j, betas, lowest=0)
     if z == 0 and j % 2 == 1:
         raise PoleError("B_n has a 1/z pole at z = 0 for odd n")
     b_j = c * betas[j] * z
@@ -122,7 +120,8 @@ def _ladder(j: int, z, c, v, a, betas) -> tuple:
 
 
 def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
-    """Closed-form A_n(z), B_n(z); the 1/z term of B_n exists iff n is odd."""
+    """Closed-form A_n(z), B_n(z), n >= 0; the 1/z term of B_n exists iff n is odd."""
+    _check_index(n, betas, lowest=0)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
         c, v, a, v0p = _constants(params, z)
@@ -130,17 +129,20 @@ def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
         return LadderPair(n=n, z=z, a_n=a_n, b_n=b_n, v0_prime=v0p)
 
 
+def _lowering(n: int, z, params: WeightParams, betas, p_prev, p, dp) -> tuple:
+    """(P_n' - [beta_n A_n P_{n-1} - B_n P_n], A_n) at z from the recurrence values."""
+    a_n, b_n = _ladder(n, z, *_constants(params, z)[:3], betas)
+    return dp - (betas[n] * a_n * p_prev - b_n * p), a_n
+
+
 def lowering_residual(n: int, z, params: WeightParams, betas,
                       polys: Optional[Sequence[MonicPolynomial]] = None) -> mpf:
     """P_n'(z) - [beta_n A_n(z) P_{n-1}(z) - B_n(z) P_n(z)]."""
-    if polys is None:
-        polys = build_polynomials(betas, n + 1)
+    _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        a_n, b_n = _ladder(n, z, *_constants(params, z)[:3], betas)
-        return (eval_poly(polys[n], z, 1)
-                - (betas[n] * a_n * eval_poly(polys[n - 1], z)
-                   - b_n * eval_poly(polys[n], z)))
+        seq = betas if polys is None else polys[n].betas
+        return _lowering(n, z, params, betas, *_recurrence(n, seq, z, 1))[0]
 
 
 def sum_rule_residual(n: int, params: WeightParams, betas) -> mpf:
@@ -152,6 +154,7 @@ def sum_rule_residual(n: int, params: WeightParams, betas) -> mpf:
     """
     if params.s == 0:
         raise DomainError("sum rule stated for s > 0")
+    _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         s, a, N = params.mpfs()
         u = (1 - s) / (2 * s)
@@ -170,12 +173,11 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
     (S2):  1 + z (B_{n+1} - B_n) = beta_{n+1} A_{n+1} - beta_n A_{n-1}
     (S2'): B_n^2 + (v_0' - alpha/z) B_n + sum_{j<n} A_j = beta_n A_n A_{n-1}
     """
+    _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
         if z == 0:
             raise PoleError("the conditions carry alpha/z terms; z = 0 excluded")
-        if len(betas) < n + 3:
-            raise DomainError("betas must cover indices 0..n+2")
         c, v, a, v0p = _constants(params, z)
         ab = [_ladder(j, z, c, v, a, betas) for j in range(n + 2)]
         (a_prev, _), (a_n, b_n), (a_next, b_next) = ab[n - 1], ab[n], ab[n + 1]
@@ -203,6 +205,7 @@ class OdeCoefficients:
 def ode_coefficients(n: int, z, params: WeightParams, betas,
                      ctx: Optional[NumericContext] = None) -> OdeCoefficients:
     """Closed-form R_n(z), Q_n(z); raises PoleError near the movable pole."""
+    _check_index(n, betas)
     digits = ctx.digits if ctx is not None else mp.dps
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
@@ -225,19 +228,36 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
         return OdeCoefficients(n=n, z=z, r_n=r_n, q_n=q_n)
 
 
+def _ode_relative(co: OdeCoefficients, p, dp, ddp) -> mpf:
+    """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest of the three terms."""
+    t1, t0 = co.r_n * dp, co.q_n * p
+    return abs(ddp + t1 + t0) / max(abs(ddp), abs(t1), abs(t0))
+
+
 def pn_ode_residual(n: int, z, params: WeightParams, betas,
                     polys: Optional[Sequence[MonicPolynomial]] = None,
                     ctx: Optional[NumericContext] = None) -> mpf:
     """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest of the three terms."""
-    if polys is None:
-        polys = build_polynomials(betas, n + 1)
     with mp.workdps(_work_dps(betas)):
         co = ode_coefficients(n, z, params, betas, ctx)
-        t2 = eval_poly(polys[n], z, 2)
-        t1 = co.r_n * eval_poly(polys[n], z, 1)
-        t0 = co.q_n * eval_poly(polys[n], z)
-        scale = max(abs(t2), abs(t1), abs(t0))
-        return abs(t2 + t1 + t0) / scale
+        seq = betas if polys is None else polys[n].betas
+        return _ode_relative(co, *_recurrence(n, seq, co.z, 2)[1:])
+
+
+def identity_residuals(n: int, z, params: WeightParams, betas,
+                       ctx: Optional[NumericContext] = None) -> dict:
+    """Relative residuals from one recurrence pass: lowering / max(|P_n'|, 1), S1 / |A_n z|,
+    S2 / max(|beta_{n+1} A_n|, 1), S2' / |beta_n A_n^2| and ``pn_ode_residual``'s z-ODE."""
+    with mp.workdps(_work_dps(betas)):
+        z = mpmathify(z)
+        p_prev, p, dp, ddp = _recurrence(n, betas, z, 2)
+        low, a_n = _lowering(n, z, params, betas, p_prev, p, dp)
+        r1, r2, r2p = compatibility_residuals(n, z, params, betas)
+        return {"lowering": abs(low) / max(abs(dp), mp.one),
+                "S1": abs(r1) / abs(a_n * z),
+                "S2": abs(r2) / max(abs(betas[n + 1] * a_n), mp.one),
+                "S2p": abs(r2p) / abs(betas[n] * a_n ** 2),
+                "ode": _ode_relative(ode_coefficients(n, z, params, betas, ctx), p, dp, ddp)}
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +356,15 @@ def orthogonality_check(n_max: int, params: WeightParams,
     """
     betas = beta_from_moments(params, n_max + 1, ctx)
     with mp.workdps(betas.digits_used):
-        coeffs = [p.coeffs for p in build_polynomials(betas, n_max)]
+        coeffs = [[mp.one], [mp.zero, mp.one]]     # P_{n+1} = z P_n - beta_n P_{n-1}
+        for n in range(1, n_max):
+            coeffs.append([mp.zero] + coeffs[n])
+            for i, c in enumerate(coeffs[n - 1]):
+                coeffs[-1][i] -= betas[n] * c
         mus = moment_table(params, 2 * n_max, NumericContext(digits=betas.digits_used),
                            source="quadrature").values
         gram = [[mp.zero] * (n_max + 1) for _ in range(n_max + 1)]
-        for k, ck in enumerate(coeffs):
+        for k, ck in enumerate(coeffs[: n_max + 1]):
             m_ck = [fsum(c * mus[a + b] for b, c in enumerate(ck)) for a in range(k + 1)]
             for j in range(k + 1):
                 g = fsum(c * m for c, m in zip(coeffs[j], m_ck))

@@ -265,24 +265,9 @@ def criterion_7(digits: int = 100, n_max: int = 15) -> list[Check]:
     zgrid = ("-0.3", "0.3", "-1.1", "1.1", "2.7")
     with mp.workdps(digits + 20):
         betas = hankel.beta_from_moments(params, n_max + 2, ctx)
-        polys_list = polynomials.build_polynomials(betas, n_max + 1)
-        worst = {"lowering": mp.zero, "S1": mp.zero, "S2": mp.zero,
-                 "S2p": mp.zero, "ode": mp.zero}
-        for n in range(1, n_max + 1):
-            for zs in zgrid:
-                z = mpmathify(zs)
-                low = polynomials.lowering_residual(n, z, params, betas, polys_list)
-                scale = max(abs(polynomials.eval_poly(polys_list[n], z, 1)), mp.one)
-                worst["lowering"] = max(worst["lowering"], abs(low) / scale)
-                r1, r2, r2p = polynomials.compatibility_residuals(n, z, params, betas)
-                pair = polynomials.ladder_pair(n, z, params, betas)
-                worst["S1"] = max(worst["S1"], abs(r1) / abs(pair.a_n * z))
-                worst["S2"] = max(worst["S2"], abs(r2) / max(abs(betas[n + 1] * pair.a_n), mp.one))
-                worst["S2p"] = max(worst["S2p"],
-                                   abs(r2p) / abs(betas[n] * pair.a_n ** 2))
-                worst["ode"] = max(worst["ode"],
-                                   polynomials.pn_ode_residual(n, z, params, betas,
-                                                               polys_list, ctx))
+        table = [polynomials.identity_residuals(n, mpmathify(z), params, betas, ctx)
+                 for n in range(1, n_max + 1) for z in zgrid]
+        worst = {key: max(row[key] for row in table) for key in table[0]}
         return [Check.build(f"7.{key}",
                             f"max relative {key} residual, n <= {n_max}, z-grid {zgrid}",
                             val, mpf(10) ** -20)

@@ -14,8 +14,11 @@
   solve per order, its Jacobian taken from two perturbed residuals.
 * ``d_coefficient_transcribed`` -- the 1/N coefficient D(s) of d/ds log D_n as
   transcribed polynomials per parity, not derived from the log-derivative slices.
+* ``coefficient_polynomials`` / ``horner`` -- P_0..P_{n_max} as coefficient
+  vectors and Horner's rule over them (with 0..2 derivatives), in place of the
+  one recurrence pass per point.
 """
-from mpmath import mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve
+from mpmath import mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, polyval
 
 from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
                     ladder_pair, mu0)
@@ -164,3 +167,22 @@ def d_coefficient_transcribed(s, r, alpha, parity: str):
                           + 272 * r ** 2 * s ** 5 - 5 * s ** 6
                           + 32 * r * s ** 6 + s ** 7))
     return d0 * (d1 + d2)
+
+
+def coefficient_polynomials(betas, n_max: int) -> list:
+    """Coefficient vectors of P_0..P_{n_max} (entry k multiplies z^k) from
+    P_{n+1} = z P_n - beta_n P_{n-1}, at the caller's working precision."""
+    polys = [[mp.one], [mp.zero, mp.one]]
+    for n in range(1, n_max):
+        shifted = [mp.zero] + polys[n]               # z * P_n
+        for i, c in enumerate(polys[n - 1]):         # - beta_n * P_{n-1}
+            shifted[i] -= betas[n] * c
+        polys.append(shifted)
+    return polys[: n_max + 1]
+
+
+def horner(coeffs, z, derivative_order: int = 0):
+    """The ``derivative_order``-th derivative of sum_k coeffs[k] z^k by Horner's rule."""
+    for _ in range(derivative_order):
+        coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
+    return polyval(coeffs[::-1], mpmathify(z))

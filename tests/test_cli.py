@@ -89,17 +89,27 @@ class TestHankelDet:
 
 
 class TestPolyOde:
-    def test_residual_columns_small(self, capsys):
-        code, out, _ = run_cli(capsys, "poly-ode", "--s", "0.5", "--alpha", "2",
-                               "--N", "1", "--n-max", "4", "--z-grid", "0.9,1.7",
-                               "--digits", "60")
+    """Every column is a relative residual, printed to 3 significant digits, and
+    sits below 10^-(digits - 10)."""
+
+    @staticmethod
+    def check_table(capsys, digits, *argv):
+        code, out, _ = run_cli(capsys, "poly-ode", *argv)
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,z,lowering,S1,S2,S2prime,ode_rel"
-        with mp.workdps(40):
-            for line in lines[1:]:
-                cells = line.split(",")
-                assert all(abs(mpmathify(c)) < mpf(10) ** -20 for c in cells[2:])
+        assert len(lines) > 1
+        for line in lines[1:]:
+            for cell in line.split(",")[2:]:
+                assert len(cell.split("e")[0].replace(".", "").lstrip("0")) <= 3
+                assert mpmathify(cell) <= mpf(10) ** -(digits - 10)
+
+    def test_residual_columns_small(self, capsys):
+        self.check_table(capsys, 60, "--s", "0.5", "--alpha", "2", "--N", "1",
+                         "--n-max", "4", "--z-grid", "0.9,1.7", "--digits", "60")
+
+    def test_defaults(self, capsys):
+        self.check_table(capsys, 80)
 
 
 class TestLogdet:

@@ -1,13 +1,14 @@
 from dataclasses import replace
 
 import pytest
-from mpmath import mp, mpf, mpmathify, sqrt, exp
+from mpmath import mp, mpf, mpmathify, sqrt, exp, fsum, binomial, factorial
 
-from dfreud import (NumericContext, WeightParams, PoleError, DomainError, beta_from_moments,
+from dfreud import (NumericContext, WeightParams, PoleError, DomainError, BetaSequence,
+                    MonicPolynomial, beta_from_moments, beta1_initial, dpi_forward,
                     build_polynomials, eval_poly, ladder_pair, lowering_residual,
                     compatibility_residuals, sum_rule_residual, ode_coefficients,
-                    pn_ode_residual, heun_parameters, heun_operator_residual,
-                    orthogonality_check)
+                    pn_ode_residual, identity_residuals, heun_parameters,
+                    heun_operator_residual, orthogonality_check)
 from dfreud import polynomials
 
 
@@ -28,18 +29,28 @@ def setup():
 class TestBuild:
     def test_p1_is_z(self, setup):
         _, _, _, polys = setup
-        assert polys[1].coeffs == (mp.zero, mp.one)
+        with mp.workdps(80):
+            for z in ("0.7", "-2.3", "1e-30"):
+                assert eval_poly(polys[1], mpf(z)) == mpf(z)
 
     def test_p2(self, setup):
         _, _, betas, polys = setup
-        assert polys[2].coeffs[2] == 1
-        assert polys[2].coeffs[0] + betas[1] == 0
-        assert polys[2].coeffs[1] == 0
+        with mp.workdps(betas.digits_used):
+            for z in ("0.7", "-2.3", "11"):
+                assert eval_poly(polys[2], mpf(z)) == mpf(z) ** 2 - betas[1]
 
     def test_parity_zeros_exact(self, setup):
+        # the recurrence never mixes parities, so P_n^(m)(-z) = (-1)^(n+m) P_n^(m)(z)
+        # bit for bit, and odd P_n vanish exactly at 0
         _, _, _, polys = setup
-        for k in range(0, 5, 2):  # P_5 carries only odd powers
-            assert polys[5].coeffs[k] == 0
+        with mp.workdps(80):
+            for n in range(11):
+                for z in ("0.3", "1.1", "2.7"):
+                    for order in (0, 1, 2):
+                        assert (eval_poly(polys[n], -mpf(z), order)
+                                == (-1) ** (n + order) * eval_poly(polys[n], mpf(z), order))
+                if n % 2:
+                    assert eval_poly(polys[n], 0) == 0
 
     def test_root_product_parity(self, setup):
         # P_n(0) P_{n-1}(0) = 0 exactly in coefficient arithmetic
@@ -48,8 +59,14 @@ class TestBuild:
             assert eval_poly(polys[n], 0) * eval_poly(polys[n - 1], 0) == 0
 
     def test_monic(self, setup):
+        # the n-th forward difference of a degree-n polynomial is n! times its
+        # leading coefficient
         _, _, _, polys = setup
-        assert all(p.coeffs[-1] == 1 for p in polys[1:])
+        with mp.workdps(80):
+            for n in range(1, 11):
+                diff = fsum((-1) ** (n - j) * binomial(n, j) * eval_poly(polys[n], j)
+                            for j in range(n + 1))
+                assert abs(diff / factorial(n) - 1) < mpf(10) ** -60
 
 
 class TestEval:
@@ -222,6 +239,55 @@ class TestOde:
             # for these parameters is z = 0 through the alpha terms
             with pytest.raises(PoleError):
                 pn_ode_residual(6, mpf(10) ** -60, params, betas, None, ctx)
+
+
+class TestIndexRange:
+    """The identities at n read beta_{n-1}..beta_{n+1} (A_n, B_n only beta_n and
+    beta_{n+1}): outside that range the functions raise DomainError instead of
+    indexing from the end of the sequence or past it."""
+
+    CALLS = {   # name: (lowest n, call)
+        "ladder_pair": (0, lambda n, p, b: ladder_pair(n, mpf("0.9"), p, b)),
+        "lowering_residual": (1, lambda n, p, b: lowering_residual(n, mpf("0.9"), p, b)),
+        "ode_coefficients": (1, lambda n, p, b: ode_coefficients(n, mpf("0.9"), p, b)),
+        "pn_ode_residual": (1, lambda n, p, b: pn_ode_residual(n, mpf("0.9"), p, b)),
+        "sum_rule_residual": (1, lambda n, p, b: sum_rule_residual(n, p, b)),
+    }
+
+    @pytest.mark.parametrize("where", ["below", "past_the_end"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_domain_error(self, name, where):
+        params = WeightParams("0.5", "2", 1)
+        betas = beta_from_moments(params, 6, NumericContext(digits=30))   # beta_0..beta_6
+        lowest, call = self.CALLS[name]
+        with pytest.raises(DomainError):
+            call(lowest - 1 if where == "below" else 6, params, betas)
+
+
+class TestLargeN:
+    """n = 400 on 60-digit dP_I betas: the recurrence keeps the identities at
+    round-off where Horner's rule over the coefficients lost every digit at z = 2.7."""
+
+    @pytest.fixture(scope="class")
+    def betas(self):
+        params = WeightParams("0.5", "1.5", 1)
+        hi = NumericContext(digits=360)
+        seq = dpi_forward(params, beta1_initial(params, hi), 403, hi)
+        with mp.workdps(60):
+            rounded = tuple(+b for b in seq.betas)
+        return BetaSequence(params=params, route="dpi", betas=rounded, digits_used=60)
+
+    @pytest.mark.parametrize("z", ["0.3", "1.1", "2.7"])
+    def test_identities_at_n_400(self, betas, z):
+        n, ctx = 400, NumericContext(digits=60)
+        with mp.workdps(60):
+            z = mpf(z)
+            dp = eval_poly(MonicPolynomial(n, betas.betas), z, 1)
+            lowering = abs(lowering_residual(n, z, betas.params, betas)) / max(abs(dp), 1)
+            assert lowering <= mpf("1e-55")
+            assert pn_ode_residual(n, z, betas.params, betas, None, ctx) <= mpf("1e-55")
+            table = identity_residuals(n, z, betas.params, betas, ctx)
+            assert max(table.values()) <= mpf("1e-55")
 
 
 class TestHeun:

@@ -18,6 +18,9 @@
 * Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
   D(s) from the log-derivative slices matches the transcribed polynomials of
   both parities.
+* For n <= 15, betas in [1/100, 10] and z in [-3, 3] at 60 digits, P_n, P_n'
+  and P_n'' from the recurrence match Horner's rule over the coefficients to
+  10^-55 of sum_k |c_k| |z|^k, the size of the terms Horner adds.
 """
 from fractions import Fraction
 from math import log10
@@ -28,9 +31,11 @@ from mpmath import mp, mpf
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
                     beta1_initial, dpi_forward, orthogonality_check, upper_bound,
-                    large_n_coefficients, appendix_b_coefficients)
+                    large_n_coefficients, appendix_b_coefficients, build_polynomials,
+                    eval_poly)
 from dfreud.detasympt import _barnes_block
-from oracles import (barnes_block_four_calls, d_coefficient_transcribed, per_entry_table,
+from oracles import (barnes_block_four_calls, coefficient_polynomials,
+                     d_coefficient_transcribed, horner, per_entry_table,
                      string_coefficients_lu)
 
 CTX = NumericContext(digits=60)
@@ -42,6 +47,7 @@ BARNES = settings(PROPERTY, max_examples=30)
 QUADRATURE = settings(PROPERTY, max_examples=100)
 STRING = settings(PROPERTY, max_examples=3)
 D_COEFFICIENT = settings(PROPERTY, max_examples=50)
+POLYNOMIAL = settings(PROPERTY, max_examples=40)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -170,3 +176,21 @@ def test_d_coefficient_matches_transcription(s, r, alpha):
             with mp.workdps(digits + 100):
                 want = d_coefficient_transcribed(s_, r_, a_, parity)
                 assert abs(got - want) <= mpf(10) ** -digits * max(1, abs(want))
+
+
+@POLYNOMIAL
+@given(betas=st.lists(st.fractions(min_value=Fraction(1, 100), max_value=10,
+                                   max_denominator=1000), min_size=15, max_size=15),
+       n=st.integers(min_value=0, max_value=15),
+       z=st.fractions(min_value=-3, max_value=3, max_denominator=1000))
+def test_recurrence_matches_coefficient_form(betas, n, z):
+    digits = 60
+    with mp.workdps(digits):
+        seq = [mp.zero] + [mpf(b.numerator) / b.denominator for b in betas]
+        z_ = mpf(z.numerator) / z.denominator
+        coeffs = coefficient_polynomials(seq, n)[n]
+        poly = build_polynomials(seq, n)[n]
+        for order in (0, 1, 2):
+            scale = horner([abs(c) for c in coeffs], abs(z_), order)
+            error = abs(eval_poly(poly, z_, order) - horner(coeffs, z_, order))
+            assert error <= mpf(10) ** -(digits - 5) * scale
