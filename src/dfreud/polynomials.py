@@ -40,7 +40,7 @@ from .recurrence import delta_parity
 
 @dataclass(frozen=True)
 class MonicPolynomial:
-    """P_n as the recurrence defines it from betas[1..n-1] (betas[k] is beta_k)."""
+    """P_n from the recurrence; reads only betas[1..n-1] (betas[k] is beta_k)."""
 
     n: int
     betas: tuple
@@ -70,7 +70,8 @@ def build_polynomials(betas: BetaSequence | Sequence, n_max: int) -> list[MonicP
     """P_0..P_{n_max} as views on the recurrence coefficients."""
     if len(betas) < n_max:
         raise DomainError("beta sequence too short for requested degree")
-    return [MonicPolynomial(n=k, betas=tuple(betas[:k])) for k in range(n_max + 1)]
+    seq = tuple(betas)
+    return [MonicPolynomial(n=k, betas=seq) for k in range(n_max + 1)]
 
 
 def eval_poly(poly: MonicPolynomial, z, derivative_order: int = 0) -> mpf:
@@ -121,7 +122,6 @@ def _ladder(j: int, z, c, v, a, betas) -> tuple:
 
 def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
     """Closed-form A_n(z), B_n(z), n >= 0; the 1/z term of B_n exists iff n is odd."""
-    _check_index(n, betas, lowest=0)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
         c, v, a, v0p = _constants(params, z)
@@ -137,12 +137,12 @@ def _lowering(n: int, z, params: WeightParams, betas, p_prev, p, dp) -> tuple:
 
 def lowering_residual(n: int, z, params: WeightParams, betas,
                       polys: Optional[Sequence[MonicPolynomial]] = None) -> mpf:
-    """P_n'(z) - [beta_n A_n(z) P_{n-1}(z) - B_n(z) P_n(z)]."""
+    """P_n'(z) - [beta_n A_n(z) P_{n-1}(z) - B_n(z) P_n(z)].  ``polys`` is ignored:
+    P_n comes from ``betas``; the parameter stays for callers passing it positionally."""
     _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        seq = betas if polys is None else polys[n].betas
-        return _lowering(n, z, params, betas, *_recurrence(n, seq, z, 1))[0]
+        return _lowering(n, z, params, betas, *_recurrence(n, betas, z, 1))[0]
 
 
 def sum_rule_residual(n: int, params: WeightParams, betas) -> mpf:
@@ -237,17 +237,17 @@ def _ode_relative(co: OdeCoefficients, p, dp, ddp) -> mpf:
 def pn_ode_residual(n: int, z, params: WeightParams, betas,
                     polys: Optional[Sequence[MonicPolynomial]] = None,
                     ctx: Optional[NumericContext] = None) -> mpf:
-    """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest of the three terms."""
+    """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest term; ``polys`` is ignored."""
     with mp.workdps(_work_dps(betas)):
         co = ode_coefficients(n, z, params, betas, ctx)
-        seq = betas if polys is None else polys[n].betas
-        return _ode_relative(co, *_recurrence(n, seq, co.z, 2)[1:])
+        return _ode_relative(co, *_recurrence(n, betas, co.z, 2)[1:])
 
 
 def identity_residuals(n: int, z, params: WeightParams, betas,
                        ctx: Optional[NumericContext] = None) -> dict:
     """Relative residuals from one recurrence pass: lowering / max(|P_n'|, 1), S1 / |A_n z|,
     S2 / max(|beta_{n+1} A_n|, 1), S2' / |beta_n A_n^2| and ``pn_ode_residual``'s z-ODE."""
+    _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
         p_prev, p, dp, ddp = _recurrence(n, betas, z, 2)

@@ -252,6 +252,8 @@ class TestIndexRange:
         "ode_coefficients": (1, lambda n, p, b: ode_coefficients(n, mpf("0.9"), p, b)),
         "pn_ode_residual": (1, lambda n, p, b: pn_ode_residual(n, mpf("0.9"), p, b)),
         "sum_rule_residual": (1, lambda n, p, b: sum_rule_residual(n, p, b)),
+        "compatibility_residuals": (1, lambda n, p, b: compatibility_residuals(n, mpf("0.9"), p, b)),
+        "identity_residuals": (1, lambda n, p, b: identity_residuals(n, mpf("0.9"), p, b)),
     }
 
     @pytest.mark.parametrize("where", ["below", "past_the_end"])
