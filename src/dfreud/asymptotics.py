@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial, prod
 from typing import Callable, Optional
 
-from mpmath import mp, mpf, mpmathify, sqrt, binomial, fsum
+from mpmath import mp, mpf, mpmathify, sqrt
 
 from .numerics import NumericContext, DomainError, fraction_to_mpf
 from .moments import WeightParams
@@ -143,11 +145,20 @@ def _series_mul(x, y):
     return out
 
 
+# binomial(h/2, m) eps^m = eps^m prod_{i<m} (h - 2i) / (2^m m!), exactly, for every
+# (eps, h) that ``_beta_series`` asks for: eps = -1, 0, 1 and h = 1, -1, ..., -_K_SERIES.
+_BINOMIALS = {(eps, h): tuple(Fraction(eps ** m * prod(h - 2 * i for i in range(m)),
+                                       2 ** m * factorial(m))
+                              for m in range(_K_SERIES // 2 + 1))
+              for eps in (-1, 0, 1) for h in (1, *range(-1, -_K_SERIES - 1, -1))}
+
+
 def _binom_series(eps: int, half_power: int):
-    # (1 + eps t^2)^(half_power/2), no sigma part
+    # (1 + eps t^2)^(half_power/2) at the working precision, no sigma part
     out = [[mp.zero, mp.zero] for _ in range(_K_SERIES + 1)]
-    for m in range(_K_SERIES // 2 + 1):
-        out[2 * m][0] = binomial(mpf(half_power) / 2, m) * mpf(eps) ** m
+    for m, c in enumerate(_BINOMIALS[eps, half_power]):
+        if c:
+            out[2 * m][0] = fraction_to_mpf(c)
     return out
 
 
@@ -222,9 +233,10 @@ def _large_n_parities(params: WeightParams, digits: int) -> tuple:
         pairs = _solve_string_coefficients(s, a, N)
         sym = tuple(+ak for ak, _ in pairs)
         alt = tuple(+bk for _, bk in pairs)
+        scale = 1 / (2 * sqrt(3 * N * s))
 
-        def prefactor(n, _N=N, _s=s):
-            return sqrt(mpf(n)) / (2 * sqrt(3 * _N * _s))
+        def prefactor(n, _scale=scale):
+            return sqrt(mpf(n)) * _scale
 
         return tuple(LargeNCoefficients(params=params, parity=parity,
                                         d=tuple(+(ak + bk * sign) for ak, bk in pairs),
@@ -243,9 +255,11 @@ def beta_large_n(n: int, params: WeightParams,
     parity = "even" if n % 2 == 0 else "odd"
     data = large_n_coefficients(params, parity, ctx)
     with mp.workdps(digits + 10):
-        total = mp.one + fsum(dk * mpf(n) ** (-mpf(k) / 2)
-                              for k, dk in enumerate(data.d, start=1))
-        return data.prefactor(n) * total
+        t = 1 / sqrt(mpf(n))
+        total = mp.zero
+        for dk in reversed(data.d):  # Horner in t for 1 + sum_k d_k t^k
+            total = (total + dk) * t
+        return data.prefactor(n) * (1 + total)
 
 
 # ---------------------------------------------------------------------------

@@ -219,19 +219,25 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
             if abs(denom) < threshold:
                 raise PoleError(f"denominator {denom} within pole guard")
         sgn = (-1) ** n
-        r_n = a / z - v0p - 2 * z / pole
+        # the alpha/z and alpha/z^2 terms are left out at alpha = 0, where R_n and
+        # Q_n are regular at z = 0
+        a_over_z = a / z if a != 0 else mp.zero
+        a_odd = a * (1 - sgn) * (v + 1 / (z * z)) / 2 if a != 0 else mp.zero
+        r_n = a_over_z - v0p - 2 * z / pole
         q_n = (c * betas[n] * (1 + a * sgn)
                + c * c * betas[n] * (u + betas[n] + betas[n - 1]) * (u + betas[n] + betas[n + 1])
-               - a * (1 - sgn) * (v + 1 / (z * z)) / 2
+               - a_odd
                - (2 * c * betas[n] * z * z + a * (1 - sgn)) / pole
                + n * c * z * z)
         return OdeCoefficients(n=n, z=z, r_n=r_n, q_n=q_n)
 
 
 def _ode_relative(co: OdeCoefficients, p, dp, ddp) -> mpf:
-    """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest of the three terms."""
+    """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest of the three terms;
+    0 when all three vanish (odd n at z = 0 with alpha = 0)."""
     t1, t0 = co.r_n * dp, co.q_n * p
-    return abs(ddp + t1 + t0) / max(abs(ddp), abs(t1), abs(t0))
+    scale = max(abs(ddp), abs(t1), abs(t0))
+    return abs(ddp + t1 + t0) / scale if scale else mp.zero
 
 
 def pn_ode_residual(n: int, z, params: WeightParams, betas,

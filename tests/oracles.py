@@ -12,16 +12,23 @@
   from four ``barnes_g_log`` calls, without the functional equation.
 * ``string_coefficients_lu`` -- the large-n pairs (a_k, b_k) from a 2x2 LU
   solve per order, its Jacobian taken from two perturbed residuals.
+* ``binom_series_mpmath`` / ``string_coefficients_mpmath_binomials`` /
+  ``beta_large_n_fsum`` -- the large-n route with every binomial of
+  (1 + eps t^2)^(h/2) from mpmath's ``binomial`` in place of the exact table,
+  and beta_n as an ``fsum`` of fractional powers n^{-k/2} in place of Horner.
 * ``d_coefficient_transcribed`` -- the 1/N coefficient D(s) of d/ds log D_n as
   transcribed polynomials per parity, not derived from the log-derivative slices.
 * ``coefficient_polynomials`` / ``horner`` -- P_0..P_{n_max} as coefficient
   vectors and Horner's rule over them (with 0..2 derivatives), in place of the
   one recurrence pass per point.
 """
-from mpmath import mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, polyval
+from unittest import mock
 
-from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
-                    ladder_pair, mu0)
+from mpmath import (mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, polyval,
+                    binomial, sqrt)
+
+from dfreud import (DomainError, MomentTable, PoleError, asymptotics, barnes_g_log,
+                    exp_exp_moments, ladder_pair, mu0)
 from dfreud.asymptotics import _K_SERIES, _dpi_series_residual, g_and_g_tilde
 
 
@@ -112,6 +119,32 @@ def string_coefficients_lu(s, alpha, N, kmax: int = 7):
         sol = lu_solve(M, rhs)
         coeffs[k - 1] = (sol[0], sol[1])
     return coeffs[:kmax]
+
+
+def binom_series_mpmath(eps: int, half_power: int):
+    """(1 + eps t^2)^(half_power/2) to order t^_K_SERIES, each coefficient from
+    mpmath's ``binomial`` at the working precision."""
+    out = [[mp.zero, mp.zero] for _ in range(_K_SERIES + 1)]
+    for m in range(_K_SERIES // 2 + 1):
+        out[2 * m][0] = binomial(mpf(half_power) / 2, m) * mpf(eps) ** m
+    return out
+
+
+def string_coefficients_mpmath_binomials(s, alpha, N, kmax: int = 7):
+    """(a_k, b_k) for k = 1..kmax from the order-by-order string solve, with
+    ``binom_series_mpmath`` in place of the library's exact binomial table."""
+    with mock.patch.object(asymptotics, "_binom_series", binom_series_mpmath):
+        return asymptotics._solve_string_coefficients(s, alpha, N, kmax)
+
+
+def beta_large_n_fsum(n: int, params, pairs):
+    """sqrt(n)/(2 sqrt(3 N s)) (1 + sum_k (a_k + b_k (-1)^n) n^{-k/2}), the sum
+    an ``fsum`` of fractional powers, at the caller's working precision."""
+    s, _, N = params.mpfs()
+    sign = 1 if n % 2 == 0 else -1
+    total = mp.one + fsum((a + b * sign) * mpf(n) ** (-mpf(k) / 2)
+                          for k, (a, b) in enumerate(pairs, start=1))
+    return sqrt(mpf(n)) / (2 * sqrt(3 * N * s)) * total
 
 
 def d_coefficient_transcribed(s, r, alpha, parity: str):

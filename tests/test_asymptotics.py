@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, mpmathify, sqrt, fsum
+from mpmath import mp, mpf, mpmathify, sqrt, fsum, binomial
 
 import dfreud.asymptotics as asymptotics
+from dfreud.numerics import fraction_to_mpf
 from dfreud import (NumericContext, WeightParams, DomainError,
                     beta_at_s0, beta_from_moments,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
@@ -140,6 +141,17 @@ class TestLargeN:
     def test_s0_rejected(self):
         with pytest.raises(DomainError):
             beta_large_n(10, WeightParams(0, 0, 1))
+
+    def test_binomial_table_matches_mpmath(self):
+        # every (eps, h) that _beta_series asks for, each entry binomial(h/2, m) eps^m
+        assert set(asymptotics._BINOMIALS) == {(eps, h) for eps in (-1, 0, 1)
+                                               for h in (1, *range(-1, -10, -1))}
+        with mp.workdps(80):
+            for (eps, h), row in asymptotics._BINOMIALS.items():
+                assert len(row) == asymptotics._K_SERIES // 2 + 1
+                for m, c in enumerate(row):
+                    want = binomial(mpf(h) / 2, m) * mpf(eps) ** m
+                    assert abs(fraction_to_mpf(c) - want) <= mpf(10) ** -79 * max(1, abs(want))
 
     def test_one_residual_per_order_for_both_parities(self, monkeypatch):
         # the order-k Jacobian is diag(6, 2): 7 residuals build both parities

@@ -241,6 +241,22 @@ class TestOde:
                 pn_ode_residual(6, mpf(10) ** -60, params, betas, None, ctx)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_alpha0_regular_at_origin(self, n):
+        # at alpha = 0 the alpha/z terms are absent, so z = 0 is an ordinary point
+        ctx = NumericContext(30)
+        params = WeightParams("0.5", 0, 1)
+        betas = beta_from_moments(params, 6, ctx)
+        co = ode_coefficients(n, 0, params, betas, ctx)
+        assert co.r_n == 0 and mp.isfinite(co.q_n)
+        assert pn_ode_residual(n, 0, params, betas, None, ctx) < mpf(10) ** -(ctx.digits - 10)
+
+    def test_alpha_nonzero_keeps_pole_at_origin(self, setup):
+        ctx, params, betas, _ = setup
+        with pytest.raises(PoleError):
+            ode_coefficients(2, 0, params, betas, ctx)
+
+
 class TestIndexRange:
     """The identities at n read beta_{n-1}..beta_{n+1} (A_n, B_n only beta_n and
     beta_{n+1}): outside that range the functions raise DomainError instead of

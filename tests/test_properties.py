@@ -15,6 +15,10 @@
 * Over s in [1/100, 1], alpha in (-1, 5], N in [1/4, 50] at 30 and 60 digits,
   the large-n string coefficients of both parities match a 2x2 LU solve per
   order.
+* Over s in (0, 1], alpha in (-1, 5], N in [1/4, 4], n <= 10^4 and both
+  parities at 30 and 50 digits, the large-n string coefficients and beta_n
+  match the same route built from mpmath binomials and an fsum of fractional
+  powers, to 10^-(digits+5).
 * Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
   D(s) from the log-derivative slices matches the transcribed polynomials of
   both parities.
@@ -32,11 +36,11 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
                     beta1_initial, dpi_forward, orthogonality_check, upper_bound,
                     large_n_coefficients, appendix_b_coefficients, build_polynomials,
-                    eval_poly)
+                    eval_poly, beta_large_n)
 from dfreud.detasympt import _barnes_block
-from oracles import (barnes_block_four_calls, coefficient_polynomials,
+from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
                      d_coefficient_transcribed, horner, per_entry_table,
-                     string_coefficients_lu)
+                     string_coefficients_lu, string_coefficients_mpmath_binomials)
 
 CTX = NumericContext(digits=60)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -46,6 +50,7 @@ BOUND = settings(PROPERTY, max_examples=30)
 BARNES = settings(PROPERTY, max_examples=30)
 QUADRATURE = settings(PROPERTY, max_examples=100)
 STRING = settings(PROPERTY, max_examples=3)
+BINOMIAL = settings(PROPERTY, max_examples=6)
 D_COEFFICIENT = settings(PROPERTY, max_examples=50)
 POLYNOMIAL = settings(PROPERTY, max_examples=40)
 
@@ -65,6 +70,11 @@ closed_s = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 quadrature_box = st.builds(WeightParams, closed_s, alphas, log_uniform_ns)
 large_n_s = st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=1000)
 large_n_box = st.builds(WeightParams, large_n_s, alphas, big_ns)
+binomial_box = st.builds(
+    WeightParams,
+    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda s: s > 0),
+    alphas,
+    st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=100))
 ratios = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: r > 0)
 
 
@@ -160,6 +170,28 @@ def test_string_coefficients_match_lu_solve(params):
                 for got, want in ((even.symmetric[k], a), (even.alternating[k], b),
                                   (even.d[k], a + b), (odd.d[k], a - b)):
                     assert abs(got - want) <= tol * max(1, abs(want))
+
+
+@BINOMIAL
+@given(params=binomial_box, n=st.integers(min_value=1, max_value=10 ** 4),
+       digits=st.sampled_from((30, 50)))
+def test_large_n_matches_mpmath_binomials_and_fsum(params, n, digits):
+    ctx = NumericContext(digits=digits)
+    with mp.workdps(digits + 20):
+        pairs = string_coefficients_mpmath_binomials(*params.mpfs())
+        tol = mpf(10) ** -(digits + 5)
+        data = large_n_coefficients(params, "even", ctx)
+        for k, (a, b) in enumerate(pairs):
+            # order k's residual combines the lower pairs: measure against the largest
+            scale = max(1, *(abs(x) for pair in pairs[:k + 1] for x in pair))
+            assert abs(data.symmetric[k] - a) <= tol * scale
+            assert abs(data.alternating[k] - b) <= tol * scale
+        for m in (n, n + 1):  # both parities
+            sign = 1 if m % 2 == 0 else -1
+            want = beta_large_n_fsum(m, params, pairs)
+            # relative to the size of the terms the sum adds: |d_k| in place of d_k
+            size = beta_large_n_fsum(m, params, [(abs(a + b * sign), 0) for a, b in pairs])
+            assert abs(beta_large_n(m, params, ctx) - want) <= tol * size
 
 
 @D_COEFFICIENT
