@@ -240,7 +240,6 @@ class TestOde:
             with pytest.raises(PoleError):
                 pn_ode_residual(6, mpf(10) ** -60, params, betas, None, ctx)
 
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_alpha0_regular_at_origin(self, n):
         # at alpha = 0 the alpha/z terms are absent, so z = 0 is an ordinary point

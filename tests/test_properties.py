@@ -18,7 +18,7 @@
 * Over s in (0, 1], alpha in (-1, 5], N in [1/4, 4], n <= 10^4 and both
   parities at 30 and 50 digits, the large-n string coefficients and beta_n
   match the same route built from mpmath binomials and an fsum of fractional
-  powers, to 10^-(digits+5).
+  powers, to 10^-(digits+5) of the size of the terms each one sums.
 * Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
   D(s) from the log-derivative slices matches the transcribed polynomials of
   both parities.
@@ -71,9 +71,7 @@ quadrature_box = st.builds(WeightParams, closed_s, alphas, log_uniform_ns)
 large_n_s = st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=1000)
 large_n_box = st.builds(WeightParams, large_n_s, alphas, big_ns)
 binomial_box = st.builds(
-    WeightParams,
-    st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda s: s > 0),
-    alphas,
+    WeightParams, closed_s.filter(lambda s: s > 0), alphas,
     st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=100))
 ratios = st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda r: r > 0)
 
