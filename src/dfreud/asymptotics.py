@@ -9,15 +9,16 @@ its predicted remainder order:
    remainder is O(s^4).
 
 2. n -> infinity with N fixed (``beta_large_n``): the string-equation
-   expansion in n^{-1/2} with prefactor sqrt(n)/(2 sqrt(3 N s)).  For
-   alpha != 0 the coefficients carry parity-alternating parts, so they are
-   produced by an order-by-order series solver applied to the dP_I with the
-   substitution beta_m ~ pref(m) (1 + sum_k (a_k + b_k (-1)^m) m^{-k/2});
-   the solver reduces to the classical coefficient table at alpha = 0.
-   The Jacobian of order k in its newest pair (a_k, b_k) is exactly
-   diag(6, 2), so each order costs one residual evaluation, and one cached
-   solve per point serves both parities.  Truncation after k = 7 leaves an
-   O(n^{-7/2}) remainder.
+   expansion beta_m ~ C sqrt(m) (1 + sum_k d_k m^{-k/2}), C = 1/(2 sqrt(3 N s)),
+   where d_k = a_k + b_k (-1)^m takes one value for even m and another for
+   odd m (Van Assche, Orthogonal Polynomials and Painleve Equations, CUP
+   2018, ch. 2).  The dP_I is solved order by order as two plain series in
+   t = n^{-1/2}, one at an even n and one at an odd n, since the neighbours
+   n +- 1 of either carry the other parity's coefficients.  At order k the
+   two residuals are 6 a_k +- 2 b_k plus terms in the lower orders, so one
+   residual per order gives the pair; the solver reduces to the classical
+   coefficient table at alpha = 0, and one cached solve per point serves
+   both parities.  Truncation after k = 7 leaves an O(n^{-7/2}) remainder.
 
 3. n, N -> infinity with r = n/N fixed (``beta_double_scaling``):
    beta = a0(s) + a1(s)/N + a2(s)/N^2 + O(N^{-3}) where a0 solves the
@@ -37,7 +38,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Callable, Optional
+from typing import Optional
 
 from mpmath import mp, mpf, mpmathify, sqrt
 
@@ -113,12 +114,13 @@ def beta_small_s(n: int, params: WeightParams,
 class LargeNCoefficients:
     """Coefficients of the n^{-1/2}-expansion at given parameters and parity.
 
-    ``d`` holds the seven coefficients multiplying n^{-k/2} for this parity,
-    d_k = a_k + b_k (-1)^n; ``symmetric``/``alternating`` expose the (a_k, b_k)
-    split, one pair of tuples shared by both parities.  The alternating parts
-    vanish identically at alpha = 0, where the symmetric parts reduce to the
-    classical closed-form table (in particular the symmetric n^{-3/2}
-    coefficient is exactly zero).
+    beta_n = scale sqrt(n) (1 + sum_k d_k n^{-k/2}) with scale = 1/(2 sqrt(3 N s)).
+    ``d`` holds the seven coefficients for this parity, d_k = a_k + b_k (-1)^n;
+    ``symmetric``/``alternating`` expose the (a_k, b_k) split, one pair of
+    tuples shared by both parities.  The alternating parts vanish identically
+    at alpha = 0, where the symmetric parts reduce to the classical
+    closed-form table (in particular the symmetric n^{-3/2} coefficient is
+    exactly zero).
     """
 
     params: WeightParams
@@ -126,90 +128,80 @@ class LargeNCoefficients:
     d: tuple
     symmetric: tuple
     alternating: tuple
-    prefactor: Callable
+    scale: mpf
 
 
-_K_SERIES = 9  # internal truncation order in t = n^{-1/2}
+_ORDER = 7  # truncation order in t = n^{-1/2}
+
+# binomial(h/2, m) = prod_{i<m} (h - 2i) / (2^m m!), exactly, for the powers
+# (1 + eps t^2)^(h/2), h = 1 - k, that ``_shifted`` expands for k = 0.._ORDER.
+_BINOMIALS = {h: tuple(Fraction(prod(h - 2 * i for i in range(m)), 2 ** m * factorial(m))
+                       for m in range(_ORDER // 2 + 1))
+              for h in range(1, -_ORDER, -1)}
 
 
-def _series_mul(x, y):
-    out = [[mp.zero, mp.zero] for _ in range(_K_SERIES + 1)]
-    for i in range(_K_SERIES + 1):
-        xi0, xi1 = x[i]
-        if xi0 == 0 and xi1 == 0:
-            continue
-        for j in range(_K_SERIES + 1 - i):
-            yj0, yj1 = y[j]
-            out[i + j][0] += xi0 * yj0 + xi1 * yj1  # sigma^2 = 1
-            out[i + j][1] += xi0 * yj1 + xi1 * yj0
+def _binom_series(eps: int, h: int) -> list:
+    """(1 + eps t^2)^(h/2) to order t^_ORDER at the working precision."""
+    out = [mp.zero] * (_ORDER + 1)
+    for m, c in enumerate(_BINOMIALS[h]):
+        out[2 * m] = fraction_to_mpf(c) * eps ** m
     return out
 
 
-# binomial(h/2, m) eps^m = eps^m prod_{i<m} (h - 2i) / (2^m m!), exactly, for every
-# (eps, h) that ``_beta_series`` asks for: eps = -1, 0, 1 and h = 1, -1, ..., -_K_SERIES.
-_BINOMIALS = {(eps, h): tuple(Fraction(eps ** m * prod(h - 2 * i for i in range(m)),
-                                       2 ** m * factorial(m))
-                              for m in range(_K_SERIES // 2 + 1))
-              for eps in (-1, 0, 1) for h in (1, *range(-1, -_K_SERIES - 1, -1))}
-
-
-def _binom_series(eps: int, half_power: int):
-    # (1 + eps t^2)^(half_power/2) at the working precision, no sigma part
-    out = [[mp.zero, mp.zero] for _ in range(_K_SERIES + 1)]
-    for m, c in enumerate(_BINOMIALS[eps, half_power]):
-        if c:
-            out[2 * m][0] = fraction_to_mpf(c)
+def _mul(x: list, y: list) -> list:
+    """Product of two series in t, truncated after t^_ORDER."""
+    out = [mp.zero] * (_ORDER + 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j in range(_ORDER + 1 - i):
+                out[i + j] += xi * y[j]
     return out
 
 
-def _beta_series(eps: int, coeffs):
-    """Series of beta_{n+eps} / (C t^{-1}); sigma tracks (-1)^n, flipped at n+-1."""
-    sign = -1 if eps else 1
-    acc = [[mp.zero, mp.zero] for _ in range(_K_SERIES + 1)]
-    acc[0][0] = mp.one
-    for k in range(1, _K_SERIES + 1):
-        ak, bk = coeffs[k - 1]
-        scaled = _binom_series(eps, -k)
-        for i in range(_K_SERIES + 1 - k):
-            c = scaled[i][0]
-            if c == 0:
-                continue
-            acc[i + k][0] += ak * c
-            acc[i + k][1] += bk * sign * c
-    return _series_mul(_binom_series(eps, 1), acc)
+def _shifted(eps: int, d) -> list:
+    """beta_{n+eps} / (C sqrt(n)) in t = n^{-1/2}, given the d_1.._ORDER of n + eps:
+    sum_k d_k t^k (1 + eps t^2)^{(1-k)/2}, d_0 = 1, the sqrt(n + eps) folded in."""
+    out = [mp.zero] * (_ORDER + 1)
+    for k, dk in enumerate((mp.one, *d)):
+        if dk:
+            for i, c in enumerate(_binom_series(eps, 1 - k)[:_ORDER + 1 - k]):
+                out[i + k] += dk * c
+    return out
 
 
-def _dpi_series_residual(coeffs, s, alpha, N):
-    """Residual series of the dP_I under the expansion ansatz (times t^2/C^2)."""
-    C2 = 1 / (12 * N * s)
-    C = sqrt(C2)
-    u = (1 - s) / (2 * s)
-    center = _beta_series(0, coeffs)
-    upseq = _beta_series(1, coeffs)
-    dnseq = _beta_series(-1, coeffs)
-    triple = [[upseq[i][0] + center[i][0] + dnseq[i][0],
-               upseq[i][1] + center[i][1] + dnseq[i][1]] for i in range(_K_SERIES + 1)]
-    res = _series_mul(center, triple)
-    for i in range(_K_SERIES):
-        res[i + 1][0] += (u / C) * center[i][0]
-        res[i + 1][1] += (u / C) * center[i][1]
-    res[0][0] -= 3
-    res[2][0] -= alpha / (8 * N * s) / C2
-    res[2][1] += alpha / (8 * N * s) / C2
-    return res
+def _dpi_series_residual(even, odd, s, alpha, N) -> tuple:
+    """Residual series of the dP_I, times t^2/C^2 with C^2 = 1/(12 N s), at an even
+    and at an odd n; ``even``/``odd`` hold each parity's d_1.._ORDER, and the
+    neighbours n +- 1 always carry the other parity's."""
+    u_over_c = (1 - s) / (2 * s) * sqrt(12 * N * s)
+    residuals = []
+    for own, other, alpha_term in ((even, odd, 0), (odd, even, 3 * alpha)):
+        center = [mp.one, *own]
+        triple = [c + up + dn for c, up, dn in
+                  zip(center, _shifted(1, other), _shifted(-1, other))]
+        res = _mul(center, triple)
+        for i in range(_ORDER):
+            res[i + 1] += u_over_c * center[i]
+        res[0] -= 3
+        res[2] -= alpha_term  # 3 alpha Delta_n t^2 from (n + alpha Delta_n)/(4 N s)
+        residuals.append(res)
+    return tuple(residuals)
 
 
-def _solve_string_coefficients(s, alpha, N, kmax: int = 7):
-    """(a_k, b_k) for k = 1..kmax by matching orders of the dP_I residual.
+def _solve_string_coefficients(s, alpha, N) -> list:
+    """(a_k, b_k) for k = 1.._ORDER by matching orders of the dP_I residual.
 
-    The order-k residual is (6 a_k, 2 b_k) plus terms in the lower pairs, so
-    with (a_k, b_k) still zero one residual gives the pair exactly.
+    With d_k = a_k +- b_k still zero, the order-k residuals are
+    r_e = 6 a_k + 2 b_k + (lower pairs) and r_o = 6 a_k - 2 b_k + (lower pairs),
+    so one residual per order gives the pair exactly.
     """
-    coeffs = [(mp.zero, mp.zero) for _ in range(_K_SERIES)]
-    for k in range(1, kmax + 1):
-        res_a, res_b = _dpi_series_residual(coeffs, s, alpha, N)[k]
-        coeffs[k - 1] = (-res_a / 6, -res_b / 2)
-    return coeffs[:kmax]
+    even, odd, pairs = [mp.zero] * _ORDER, [mp.zero] * _ORDER, []
+    for k in range(1, _ORDER + 1):
+        res_e, res_o = _dpi_series_residual(even, odd, s, alpha, N)
+        a, b = -(res_e[k] + res_o[k]) / 12, -(res_e[k] - res_o[k]) / 4
+        even[k - 1], odd[k - 1] = a + b, a - b
+        pairs.append((a, b))
+    return pairs
 
 
 def large_n_coefficients(params: WeightParams, parity: str,
@@ -234,32 +226,25 @@ def _large_n_parities(params: WeightParams, digits: int) -> tuple:
         sym = tuple(+ak for ak, _ in pairs)
         alt = tuple(+bk for _, bk in pairs)
         scale = 1 / (2 * sqrt(3 * N * s))
-
-        def prefactor(n, _scale=scale):
-            return sqrt(mpf(n)) * _scale
-
         return tuple(LargeNCoefficients(params=params, parity=parity,
                                         d=tuple(+(ak + bk * sign) for ak, bk in pairs),
-                                        symmetric=sym, alternating=alt, prefactor=prefactor)
+                                        symmetric=sym, alternating=alt, scale=scale)
                      for parity, sign in (("even", 1), ("odd", -1)))
 
 
 def beta_large_n(n: int, params: WeightParams,
                  ctx: Optional[NumericContext] = None) -> mpf:
     """Large-n evaluation of beta_n through the n^{-3} term (O(n^{-7/2}) remainder)."""
-    if params.s == 0:
-        raise DomainError("the large-n expansion needs s > 0")
     if n < 1:
         raise DomainError("n must be >= 1")
     digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    parity = "even" if n % 2 == 0 else "odd"
-    data = large_n_coefficients(params, parity, ctx)
+    data = large_n_coefficients(params, "even" if n % 2 == 0 else "odd", ctx)
     with mp.workdps(digits + 10):
         t = 1 / sqrt(mpf(n))
         total = mp.zero
         for dk in reversed(data.d):  # Horner in t for 1 + sum_k d_k t^k
             total = (total + dk) * t
-        return data.prefactor(n) * (1 + total)
+        return data.scale / t * (1 + total)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,29 @@ def _barnes_block(alpha, ctx: NumericContext) -> mpf:
             - 2 * barnes_g_log(z, ctx) - loggamma(z))
 
 
+def _display_terms(quantity: Quantity, lr, alpha, even: bool, ctx: NumericContext) -> tuple:
+    """(n^2, n, log n, 1, 1/n) coefficients of one display at lr = log r; D1 is
+    assembled as ratio_10 + D0 term by term."""
+    if quantity == "ratio_10":
+        return ((3 - 2 * log(mpf(3)) - 2 * lr) / 8,
+                -alpha * (-1 + log(mpf(3)) + lr) / 4,  # parity independent
+                mp.zero,
+                (3 * alpha ** 2 - 1) * log(mpf(2)) / 12 - alpha ** 2 * log(mpf(3)) / 4,
+                alpha * (alpha ** 2 + 3) / 48 if even else alpha * (alpha ** 2 - 3) / 48)
+    if quantity == "D0":
+        return ((2 * lr - 2 * log(mpf(2)) - 3) / 4,
+                log(2 * pi) - alpha * (1 + log(mpf(2)) - lr) / 2,
+                (3 * alpha ** 2 - 1) / mpf(12),
+                (-log(mp.glaisher)
+                 + (1 + 6 * alpha * log(2 * pi) - 3 * alpha ** 2 * log(mpf(2))) / 12
+                 + _barnes_block(alpha, ctx)),
+                (alpha ** 3 + alpha) / 12 if even else (alpha ** 3 - 2 * alpha) / 12)
+    if quantity == "D1":
+        return tuple(x + y for x, y in zip(_display_terms("ratio_10", lr, alpha, even, ctx),
+                                           _display_terms("D0", lr, alpha, even, ctx)))
+    raise DomainError(f"unknown quantity {quantity!r}")
+
+
 def logdet_expansion(quantity: Quantity, n: int, r, alpha,
                      parity: Optional[str] = None,
                      ctx: Optional[NumericContext] = None) -> LogDetExpansion:
@@ -273,33 +296,8 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
         r, alpha = mpmathify(r), mpmathify(alpha)
         if not (0 < r <= 1):
             raise DomainError("r must lie in (0, 1]")
-        lr = log(r)
-        even = parity == "even"
-        if quantity == "ratio_10":
-            n2 = (3 - 2 * log(mpf(3)) - 2 * lr) / 8
-            n1 = -alpha * (-1 + log(mpf(3)) + lr) / 4  # parity independent
-            lgn = mp.zero
-            const = (3 * alpha ** 2 - 1) * log(mpf(2)) / 12 - alpha ** 2 * log(mpf(3)) / 4
-            invn = alpha * (alpha ** 2 + 3) / 48 if even else alpha * (alpha ** 2 - 3) / 48
-        elif quantity == "D0":
-            n2 = (2 * lr - 2 * log(mpf(2)) - 3) / 4
-            n1 = log(2 * pi) - alpha * (1 + log(mpf(2)) - lr) / 2
-            lgn = (3 * alpha ** 2 - 1) / mpf(12)
-            const = (-log(mp.glaisher)
-                     + (1 + 6 * alpha * log(2 * pi) - 3 * alpha ** 2 * log(mpf(2))) / 12
-                     + _barnes_block(alpha, ctx))
-            invn = (alpha ** 3 + alpha) / 12 if even else (alpha ** 3 - 2 * alpha) / 12
-        elif quantity == "D1":
-            n2 = (2 * lr - log(mpf(144)) - 3) / 8
-            n1 = (alpha * lr + 4 * log(2 * pi) - alpha * (1 + log(mpf(12)))) / 4
-            lgn = (3 * alpha ** 2 - 1) / mpf(12)
-            const = ((1 - log(mpf(2)) + 6 * alpha * log(2 * pi)
-                      - 3 * alpha ** 2 * log(mpf(3))) / 12
-                     - log(mp.glaisher) + _barnes_block(alpha, ctx))
-            invn = (alpha * (5 * alpha ** 2 + 7) / 48 if even
-                    else alpha * (5 * alpha ** 2 - 11) / 48)
-        else:
-            raise DomainError(f"unknown quantity {quantity!r}")
+        n2, n1, lgn, const, invn = _display_terms(quantity, log(r), alpha,
+                                                  parity == "even", ctx)
         nm = mpf(n)
         value = n2 * nm * nm + n1 * nm + lgn * log(nm) + const + invn / nm
         return LogDetExpansion(quantity=quantity, n=n, r=+r, alpha=+alpha,

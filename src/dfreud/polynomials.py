@@ -109,14 +109,21 @@ def _constants(params: WeightParams, z) -> tuple:
     return c, v, a, c * z ** 3 + v * z
 
 
+def _alpha_over_z(a, z) -> mpf:
+    """alpha/z: 0 at alpha = 0 for every z, else PoleError at z = 0."""
+    if a == 0:
+        return mp.zero
+    if z == 0:
+        raise PoleError("the alpha/z term has a pole at z = 0")
+    return a / z
+
+
 def _ladder(j: int, z, c, v, a, betas) -> tuple:
-    """(A_j(z), B_j(z)) from ``_constants``; the 1/z term of B_j exists iff j is odd."""
+    """(A_j(z), B_j(z)) from ``_constants``; the alpha/z term of B_j exists iff j is odd."""
     _check_index(j, betas, lowest=0)
-    if z == 0 and j % 2 == 1:
-        raise PoleError("B_n has a 1/z pole at z = 0 for odd n")
     b_j = c * betas[j] * z
     if j % 2 == 1:
-        b_j += a * delta_parity(j) / z
+        b_j += _alpha_over_z(a, z)
     return c * z * z + c * (betas[j + 1] + betas[j]) + v, b_j
 
 
@@ -176,14 +183,13 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
     _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        if z == 0:
-            raise PoleError("the conditions carry alpha/z terms; z = 0 excluded")
         c, v, a, v0p = _constants(params, z)
+        a_over_z = _alpha_over_z(a, z)
         ab = [_ladder(j, z, c, v, a, betas) for j in range(n + 2)]
         (a_prev, _), (a_n, b_n), (a_next, b_next) = ab[n - 1], ab[n], ab[n + 1]
-        r_s1 = (b_next + b_n) - (z * a_n - v0p + a / z)
+        r_s1 = (b_next + b_n) - (z * a_n - v0p + a_over_z)
         r_s2 = 1 + z * (b_next - b_n) - (betas[n + 1] * a_next - betas[n] * a_prev)
-        r_s2p = (b_n ** 2 + (v0p - a / z) * b_n + fsum(a_j for a_j, _ in ab[:n])
+        r_s2p = (b_n ** 2 + (v0p - a_over_z) * b_n + fsum(a_j for a_j, _ in ab[:n])
                  - betas[n] * a_n * a_prev)
         return r_s1, r_s2, r_s2p
 
@@ -221,7 +227,7 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
         sgn = (-1) ** n
         # the alpha/z and alpha/z^2 terms are left out at alpha = 0, where R_n and
         # Q_n are regular at z = 0
-        a_over_z = a / z if a != 0 else mp.zero
+        a_over_z = _alpha_over_z(a, z)
         a_odd = a * (1 - sgn) * (v + 1 / (z * z)) / 2 if a != 0 else mp.zero
         r_n = a_over_z - v0p - 2 * z / pole
         q_n = (c * betas[n] * (1 + a * sgn)
@@ -251,8 +257,9 @@ def pn_ode_residual(n: int, z, params: WeightParams, betas,
 
 def identity_residuals(n: int, z, params: WeightParams, betas,
                        ctx: Optional[NumericContext] = None) -> dict:
-    """Relative residuals from one recurrence pass: lowering / max(|P_n'|, 1), S1 / |A_n z|,
-    S2 / max(|beta_{n+1} A_n|, 1), S2' / |beta_n A_n^2| and ``pn_ode_residual``'s z-ODE."""
+    """Relative residuals from one recurrence pass: lowering / max(|P_n'|, 1), S1 / |A_n z|
+    (|S1| at z = 0, where every term of S1 vanishes), S2 / max(|beta_{n+1} A_n|, 1),
+    S2' / |beta_n A_n^2| and ``pn_ode_residual``'s z-ODE."""
     _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
@@ -260,7 +267,7 @@ def identity_residuals(n: int, z, params: WeightParams, betas,
         low, a_n = _lowering(n, z, params, betas, p_prev, p, dp)
         r1, r2, r2p = compatibility_residuals(n, z, params, betas)
         return {"lowering": abs(low) / max(abs(dp), mp.one),
-                "S1": abs(r1) / abs(a_n * z),
+                "S1": abs(r1) / abs(a_n * z) if z else abs(r1),
                 "S2": abs(r2) / max(abs(betas[n + 1] * a_n), mp.one),
                 "S2p": abs(r2p) / abs(betas[n] * a_n ** 2),
                 "ode": _ode_relative(ode_coefficients(n, z, params, betas, ctx), p, dp, ddp)}
@@ -304,7 +311,7 @@ def heun_parameters(alpha, big_n, s, n: int,
         def r_tilde(z):
             z = mpmathify(z)
             *_, a, v0p = _constants(params, z)
-            return a / z - v0p
+            return _alpha_over_z(a, z) - v0p
 
         return HeunParameters(kappa=+kappa,
                               gamma_h=-(1 + alpha) / 2,

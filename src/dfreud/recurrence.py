@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, isfinite, fsum
+from mpmath import mp, mpf, mpmathify, isfinite, fsum, sqrt
 
 from .numerics import NumericContext, DomainError
 from .moments import WeightParams, mu0
@@ -221,16 +221,16 @@ def ode25_residual(n: int, params: WeightParams, ctx: NumericContext,
 
 
 def upper_bound(n: int, params: WeightParams, ctx: Optional[NumericContext] = None) -> mpf:
-    """Closed-form upper bound 0 < beta_n < -(1-s)/(4s) + sqrt((...)^2 + l_n/(4Ns))."""
+    """Closed-form upper bound 0 < beta_n < -(1-s)/(4s) + sqrt((...)^2 + l_n/(4Ns)),
+    formed as l/(half + sqrt(half^2 + l)), free of the cancellation as s -> 0."""
     if params.s == 0:
         raise DomainError("the bound is stated for s > 0")
     digits = ctx.digits if ctx is not None else 50
     with mp.workdps(digits):
-        from mpmath import sqrt
         s, a, N = params.mpfs()
         half = (1 - s) / (4 * s)
         ell = (n + a * delta_parity(n)) / (4 * N * s)
-        return -half + sqrt(half * half + ell)
+        return ell / (half + sqrt(half * half + ell))
 
 
 @dataclass(frozen=True)

@@ -10,26 +10,27 @@
   ``LadderPair`` per index j <= n+1, each converting (s, alpha, N) again.
 * ``barnes_block_four_calls`` -- the Barnes-G block of the log D_n displays
   from four ``barnes_g_log`` calls, without the functional equation.
-* ``string_coefficients_lu`` -- the large-n pairs (a_k, b_k) from a 2x2 LU
-  solve per order, its Jacobian taken from two perturbed residuals.
-* ``binom_series_mpmath`` / ``string_coefficients_mpmath_binomials`` /
-  ``beta_large_n_fsum`` -- the large-n route with every binomial of
-  (1 + eps t^2)^(h/2) from mpmath's ``binomial`` in place of the exact table,
-  and beta_n as an ``fsum`` of fractional powers n^{-k/2} in place of Horner.
+* ``string_coefficients_lu`` -- the large-n pairs (a_k, b_k) without the
+  library's solver: the dP_I residual as series of pairs x + y sigma,
+  sigma = (-1)^n, carried to t^9, every binomial of (1 + eps t^2)^(h/2) from
+  mpmath's ``binomial``, and a 2x2 LU solve per order, its Jacobian taken
+  from two perturbed residuals.
+* ``beta_large_n_fsum`` -- beta_n as an ``fsum`` of fractional powers
+  n^{-k/2} in place of Horner.
+* ``log_d1_display`` -- the coefficients of the log D_n(1) display as printed,
+  in place of their assembly from the ratio_10 and D0 displays.
 * ``d_coefficient_transcribed`` -- the 1/N coefficient D(s) of d/ds log D_n as
   transcribed polynomials per parity, not derived from the log-derivative slices.
 * ``coefficient_polynomials`` / ``horner`` -- P_0..P_{n_max} as coefficient
   vectors and Horner's rule over them (with 0..2 derivatives), in place of the
   one recurrence pass per point.
 """
-from unittest import mock
-
 from mpmath import (mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, polyval,
-                    binomial, sqrt)
+                    binomial, log, pi, sqrt)
 
-from dfreud import (DomainError, MomentTable, PoleError, asymptotics, barnes_g_log,
-                    exp_exp_moments, ladder_pair, mu0)
-from dfreud.asymptotics import _K_SERIES, _dpi_series_residual, g_and_g_tilde
+from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
+                    ladder_pair, mu0)
+from dfreud.asymptotics import g_and_g_tilde
 
 
 def ldlt_pivots(mus, n: int):
@@ -96,45 +97,82 @@ def barnes_block_four_calls(alpha, ctx):
             - barnes_g_log((alpha + 3) / 2, ctx) - barnes_g_log((alpha + 1) / 2, ctx))
 
 
-def string_coefficients_lu(s, alpha, N, kmax: int = 7):
-    """(a_k, b_k) for k = 1..kmax; each order is a 2x2 system in the newest pair,
-    built from the residual at (a_k, b_k) = (0, 0), (1, 0) and (0, 1)."""
-    coeffs = [(mp.zero, mp.zero) for _ in range(_K_SERIES)]
-    for k in range(1, kmax + 1):
-        base = _dpi_series_residual(coeffs, s, alpha, N)
-        with_a = list(coeffs)
-        with_a[k - 1] = (mp.one, mp.zero)
-        res_a = _dpi_series_residual(with_a, s, alpha, N)
-        with_b = list(coeffs)
-        with_b[k - 1] = (mp.zero, mp.one)
-        res_b = _dpi_series_residual(with_b, s, alpha, N)
-        M = matrix(2, 2)
-        rhs = matrix(2, 1)
-        M[0, 0] = res_a[k][0] - base[k][0]
-        M[0, 1] = res_b[k][0] - base[k][0]
-        M[1, 0] = res_a[k][1] - base[k][1]
-        M[1, 1] = res_b[k][1] - base[k][1]
-        rhs[0] = -base[k][0]
-        rhs[1] = -base[k][1]
-        sol = lu_solve(M, rhs)
-        coeffs[k - 1] = (sol[0], sol[1])
-    return coeffs[:kmax]
+def log_d1_display(r, alpha, even: bool, ctx) -> tuple:
+    """(n^2, n, log n, 1, 1/n) coefficients of the log D_n(1) display as printed,
+    not assembled from the ratio_10 and D0 displays, at the caller's precision."""
+    lr = log(r)
+    return ((2 * lr - log(mpf(144)) - 3) / 8,
+            (alpha * lr + 4 * log(2 * pi) - alpha * (1 + log(mpf(12)))) / 4,
+            (3 * alpha ** 2 - 1) / mpf(12),
+            ((1 - log(mpf(2)) + 6 * alpha * log(2 * pi) - 3 * alpha ** 2 * log(mpf(3))) / 12
+             - log(mp.glaisher) + barnes_block_four_calls(alpha, ctx)),
+            alpha * (5 * alpha ** 2 + 7) / 48 if even else alpha * (5 * alpha ** 2 - 11) / 48)
 
 
-def binom_series_mpmath(eps: int, half_power: int):
-    """(1 + eps t^2)^(half_power/2) to order t^_K_SERIES, each coefficient from
-    mpmath's ``binomial`` at the working precision."""
-    out = [[mp.zero, mp.zero] for _ in range(_K_SERIES + 1)]
-    for m in range(_K_SERIES // 2 + 1):
-        out[2 * m][0] = binomial(mpf(half_power) / 2, m) * mpf(eps) ** m
+def _sigma_mul(x, y):
+    """Product of two series of pairs [x, y] = x + y sigma, sigma^2 = 1, truncated
+    at the length of x."""
+    order = len(x) - 1
+    out = [[mp.zero, mp.zero] for _ in range(order + 1)]
+    for i, (x0, x1) in enumerate(x):
+        for j in range(order + 1 - i):
+            y0, y1 = y[j]
+            out[i + j][0] += x0 * y0 + x1 * y1
+            out[i + j][1] += x0 * y1 + x1 * y0
     return out
 
 
-def string_coefficients_mpmath_binomials(s, alpha, N, kmax: int = 7):
-    """(a_k, b_k) for k = 1..kmax from the order-by-order string solve, with
-    ``binom_series_mpmath`` in place of the library's exact binomial table."""
-    with mock.patch.object(asymptotics, "_binom_series", binom_series_mpmath):
-        return asymptotics._solve_string_coefficients(s, alpha, N, kmax)
+def _sigma_beta(eps: int, coeffs):
+    """beta_{n+eps} / (C sqrt(n)) in t = n^{-1/2} to t^len(coeffs), sigma = (-1)^n
+    flipping at n +- 1: (1 + eps t^2)^(1/2) (1 + sum_k (a_k + b_k sigma) t^k
+    (1 + eps t^2)^(-k/2))."""
+    order = len(coeffs)
+
+    def binom(h):  # (1 + eps t^2)^(h/2), from mpmath's binomial
+        return [[binomial(mpf(h) / 2, i // 2) * eps ** (i // 2) if i % 2 == 0 else mp.zero,
+                 mp.zero] for i in range(order + 1)]
+    sign = -1 if eps else 1
+    acc = [[mp.zero, mp.zero] for _ in range(order + 1)]
+    acc[0][0] = mp.one
+    for k, (a, b) in enumerate(coeffs, start=1):
+        for i, (c, _) in enumerate(binom(-k)[:order + 1 - k]):
+            acc[i + k][0] += a * c
+            acc[i + k][1] += b * sign * c
+    return _sigma_mul(binom(1), acc)
+
+
+def _sigma_residual(coeffs, s, alpha, N):
+    """dP_I residual series, times t^2/C^2 with C^2 = 1/(12 N s), in sigma pairs."""
+    C2 = 1 / (12 * N * s)
+    u = (1 - s) / (2 * s)
+    center = _sigma_beta(0, coeffs)
+    up, dn = _sigma_beta(1, coeffs), _sigma_beta(-1, coeffs)
+    res = _sigma_mul(center, [[c[0] + p[0] + q[0], c[1] + p[1] + q[1]]
+                              for c, p, q in zip(center, up, dn)])
+    for i in range(len(coeffs)):
+        res[i + 1][0] += u / sqrt(C2) * center[i][0]
+        res[i + 1][1] += u / sqrt(C2) * center[i][1]
+    res[0][0] -= 3
+    res[2][0] -= alpha / (8 * N * s) / C2   # alpha Delta_n, Delta_n = (1 - sigma)/2
+    res[2][1] += alpha / (8 * N * s) / C2
+    return res
+
+
+def string_coefficients_lu(s, alpha, N):
+    """(a_k, b_k) for k = 1..7 of beta_n ~ C sqrt(n) (1 + sum_k (a_k + b_k (-1)^n)
+    n^{-k/2}), independent of the library: sigma-pair series carried to t^9,
+    binomials from mpmath, and a 2x2 LU solve per order whose Jacobian comes from
+    the residual at (a_k, b_k) = (0, 0), (1, 0) and (0, 1)."""
+    coeffs = [(mp.zero, mp.zero)] * 9
+    for k in range(1, 8):
+        base = _sigma_residual(coeffs, s, alpha, N)[k]
+        M = matrix(2, 2)
+        for col, unit in enumerate(((mp.one, mp.zero), (mp.zero, mp.one))):
+            res = _sigma_residual(coeffs[:k - 1] + [unit] + coeffs[k:], s, alpha, N)[k]
+            M[0, col], M[1, col] = res[0] - base[0], res[1] - base[1]
+        sol = lu_solve(M, matrix([-base[0], -base[1]]))
+        coeffs[k - 1] = (sol[0], sol[1])
+    return coeffs[:7]
 
 
 def beta_large_n_fsum(n: int, params, pairs):

@@ -98,6 +98,15 @@ class TestLargeN:
             assert abs(data.d[0] - want) < mpf(10) ** -45
             assert abs(data.alternating[0]) < mpf(10) ** -45
 
+    def test_scale_is_the_leading_constant(self):
+        # beta_n = scale sqrt(n) (1 + sum_k d_k n^{-k/2}), scale = 1/(2 sqrt(3 N s))
+        with mp.workdps(70):
+            params = WeightParams("0.3", "1.5", 2)
+            s, _, N = params.mpfs()
+            for parity in ("even", "odd"):
+                data = large_n_coefficients(params, parity)
+                assert abs(data.scale - 1 / (2 * sqrt(3 * N * s))) < mpf(10) ** -55
+
     def test_symmetric_n32_vanishes(self):
         # the non-alternating part of the n^{-3/2} coefficient is zero
         with mp.workdps(70):
@@ -143,14 +152,14 @@ class TestLargeN:
             beta_large_n(10, WeightParams(0, 0, 1))
 
     def test_binomial_table_matches_mpmath(self):
-        # every (eps, h) that _beta_series asks for, each entry binomial(h/2, m) eps^m
-        assert set(asymptotics._BINOMIALS) == {(eps, h) for eps in (-1, 0, 1)
-                                               for h in (1, *range(-1, -10, -1))}
+        # every h = 1 - k, k = 0..7, that _shifted expands, each entry binomial(h/2, m)
+        # for m <= 3, so that t^k (1 + eps t^2)^(h/2) reaches t^7
+        assert set(asymptotics._BINOMIALS) == set(range(1, -7, -1))
         with mp.workdps(80):
-            for (eps, h), row in asymptotics._BINOMIALS.items():
-                assert len(row) == asymptotics._K_SERIES // 2 + 1
+            for h, row in asymptotics._BINOMIALS.items():
+                assert len(row) == 4
                 for m, c in enumerate(row):
-                    want = binomial(mpf(h) / 2, m) * mpf(eps) ** m
+                    want = binomial(mpf(h) / 2, m)
                     assert abs(fraction_to_mpf(c) - want) <= mpf(10) ** -79 * max(1, abs(want))
 
     def test_one_residual_per_order_for_both_parities(self, monkeypatch):

@@ -6,6 +6,7 @@ from dfreud import (NumericContext, WeightParams, DomainError, logdet_derivative
                     logdet_expansion, mehta_normand_logD0, central_difference,
                     beta_from_moments)
 from dfreud import hankel as hk
+from oracles import log_d1_display
 
 
 class TestLogDetDerivative:
@@ -190,17 +191,20 @@ class TestLogDetExpansion:
     @pytest.mark.parametrize("alpha", ["0", "1.7"])
     @pytest.mark.parametrize("n", [20, 21])
     def test_assembled_consistency(self, alpha, n):
-        # D1 = ratio_10 + D0 termwise (n^2, n, log n, const, 1/n)
+        # D1 = ratio_10 + D0 termwise (n^2, n, log n, const, 1/n), and the assembled
+        # D1 matches the display's printed coefficients
         ctx = NumericContext(digits=60)
         with mp.workdps(70):
             r = mpf("0.9")
             ratio = logdet_expansion("ratio_10", n, r, alpha, ctx=ctx)
             d0 = logdet_expansion("D0", n, r, alpha, ctx=ctx)
             d1 = logdet_expansion("D1", n, r, alpha, ctx=ctx)
-            for attr in ("n2", "n1", "logn", "const", "invn"):
+            printed = log_d1_display(r, mpmathify(alpha), n % 2 == 0, ctx)
+            for attr, want in zip(("n2", "n1", "logn", "const", "invn"), printed):
                 lhs = getattr(ratio, attr) + getattr(d0, attr)
                 rhs = getattr(d1, attr)
                 assert abs(lhs - rhs) < mpf(10) ** -40, attr
+                assert abs(rhs - want) < mpf(10) ** -40, attr
 
     def test_d0_against_exact(self):
         # |display - Mehta-Normand| is already small at n = 24, r = 1

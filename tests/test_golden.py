@@ -11,7 +11,10 @@ displays, which used to be summed at the ambient 15-digit precision, and
 ``--method double`` took N = n-max when ``--N`` is not given.
 ``sweep_largen`` was captured before the large-n string solve went from a
 2x2 LU solve to one residual per order; it and ``beta_largen`` hold that
-solve's digits.
+solve's digits.  Both run at alpha = 0, where every alternating coefficient
+vanishes, so ``beta_largen_alpha`` and ``sweep_largen_alpha`` (alpha = 3/2)
+hold the parity split; they were captured before the solve dropped its
+sigma-pair series for one plain series per parity.
 """
 from pathlib import Path
 
@@ -33,6 +36,9 @@ CASES = {
     "logdet_D0": (("logdet", "--quantity", "D0"), 0),
     "logdet_D1": (("logdet", "--quantity", "D1"), 0),
     "sweep_largen": (("sweep", "--method", "largen"), 0),
+    "beta_largen_alpha": (("beta", "--method", "largen", "--alpha", "3/2", "--s", "0.3",
+                           "--N", "2"), 0),
+    "sweep_largen_alpha": (("sweep", "--method", "largen", "--alpha", "3/2"), 0),
 }
 
 

@@ -256,6 +256,39 @@ class TestOde:
             ode_coefficients(2, 0, params, betas, ctx)
 
 
+class TestOrigin:
+    """alpha/z is 0 at alpha = 0 for every z, and a PoleError at z = 0 otherwise."""
+
+    @pytest.fixture(scope="class")
+    def alpha0(self):
+        ctx = NumericContext(30)
+        params = WeightParams("0.5", 0, 1)
+        return ctx, params, beta_from_moments(params, 6, ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identities_at_alpha0(self, alpha0, n):
+        ctx, params, betas = alpha0
+        table = identity_residuals(n, 0, params, betas, ctx)
+        assert max(table.values()) < mpf(10) ** -(ctx.digits - 10)
+
+    def test_odd_b_has_no_pole_at_alpha0(self, alpha0):
+        _, params, betas = alpha0
+        assert ladder_pair(3, 0, params, betas).b_n == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda p, b: compatibility_residuals(4, 0, p, b),
+        lambda p, b: identity_residuals(4, 0, p, b),
+        lambda p, b: heun_parameters(p.alpha, p.big_n, p.s, 7).r_tilde(0)],
+        ids=["compatibility", "identity", "r_tilde"])
+    def test_alpha_nonzero_raises_at_origin(self, setup, call):
+        _, params, betas, _ = setup
+        with pytest.raises(PoleError):
+            call(params, betas)
+
+    def test_r_tilde_at_origin(self):
+        assert heun_parameters(0, 2, "0.5", 7).r_tilde(0) == 0
+
+
 class TestIndexRange:
     """The identities at n read beta_{n-1}..beta_{n+1} (A_n, B_n only beta_n and
     beta_{n+1}): outside that range the functions raise DomainError instead of

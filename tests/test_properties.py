@@ -13,12 +13,13 @@
 * Over alpha in (-1, 5] at 30, 60 and 120 digits, the one-call Barnes-G block
   of the log D_n displays matches four ``barnes_g_log`` calls.
 * Over s in [1/100, 1], alpha in (-1, 5], N in [1/4, 50] at 30 and 60 digits,
-  the large-n string coefficients of both parities match a 2x2 LU solve per
-  order.
+  the large-n string coefficients of both parities match an independent
+  reference: sigma-pair series to t^9, mpmath binomials and a 2x2 LU solve
+  per order.
 * Over s in (0, 1], alpha in (-1, 5], N in [1/4, 4], n <= 10^4 and both
   parities at 30 and 50 digits, the large-n string coefficients and beta_n
-  match the same route built from mpmath binomials and an fsum of fractional
-  powers, to 10^-(digits+5) of the size of the terms each one sums.
+  match that reference and an fsum of fractional powers, to
+  10^-(digits+5) of the size of the terms each one sums.
 * Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
   D(s) from the log-derivative slices matches the transcribed polynomials of
   both parities.
@@ -40,7 +41,7 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
 from dfreud.detasympt import _barnes_block
 from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
                      d_coefficient_transcribed, horner, per_entry_table,
-                     string_coefficients_lu, string_coefficients_mpmath_binomials)
+                     string_coefficients_lu)
 
 CTX = NumericContext(digits=60)
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
@@ -176,7 +177,7 @@ def test_string_coefficients_match_lu_solve(params):
 def test_large_n_matches_mpmath_binomials_and_fsum(params, n, digits):
     ctx = NumericContext(digits=digits)
     with mp.workdps(digits + 20):
-        pairs = string_coefficients_mpmath_binomials(*params.mpfs())
+        pairs = string_coefficients_lu(*params.mpfs())
         tol = mpf(10) ** -(digits + 5)
         data = large_n_coefficients(params, "even", ctx)
         for k, (a, b) in enumerate(pairs):

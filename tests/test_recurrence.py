@@ -199,6 +199,18 @@ class TestUpperBound:
                 for n in range(1, 31):
                     assert seq[n] < upper_bound(n, params, ctx60)
 
+    @pytest.mark.parametrize("s", [Fraction(1, 10 ** 10), Fraction(1, 10 ** 20)])
+    def test_free_of_cancellation_at_small_s(self, s):
+        # -half + sqrt(half^2 + l) cancels as s -> 0; the bound keeps every digit
+        ctx = NumericContext(digits=30)
+        params = WeightParams(s, "3/2", 2)
+        for n in (1, 2, 7):
+            with mp.workdps(200):
+                s_, a, N = params.mpfs()
+                half = (1 - s_) / (4 * s_)
+                want = -half + sqrt(half * half + (n + a * (n % 2)) / (4 * N * s_))
+                assert abs(upper_bound(n, params, ctx) - want) <= mpf(10) ** -ctx.digits * want
+
     def test_monotone_in_n(self, ctx60):
         params = WeightParams("0.5", "1", 1)
         with mp.workdps(70):
