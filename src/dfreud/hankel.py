@@ -102,8 +102,10 @@ def h_sequence(params: WeightParams, n: int, ctx: NumericContext,
         if work > max_digits:
             raise PrecisionExhaustedError(
                 f"needed more than {max_digits} digits for n={n}", index=None)
-        result = _attempt_pivots(params, n, work)
+        # the check first: mpmath cuts gamma's Taylor coefficients for a lower precision
+        # from a cached higher one, so a cold process builds them once, not twice
         check = _attempt_pivots(params, n, work + 40)
+        result = _attempt_pivots(params, n, work)
         if result is not None and check is not None:
             with mp.workdps(30):
                 agree = all(abs(a - b) <= abs(b) * mpf(10) ** (-ctx.digits)

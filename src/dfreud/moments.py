@@ -17,24 +17,22 @@ mu_0 itself is computed two independent ways and cross-checked in the tests:
   valid for s > 0; at s = 0 the weight is generalized Gaussian and
   mu_0 = N^(-(a+1)/2) Gamma((a+1)/2) instead (``mu0_gaussian``).
 
-``moment_table`` takes mu_0 and mu_2 from ``mu0`` and runs the recurrence from
-integrating d/dx [x^(2k+1) w(x)] forward: A - B = 4N s mu_{2k+4} with
-A = (a + 2k + 1) mu_{2k} and B = 2N (1-s) mu_{2k+2}.  It is exact at s = 0 and
-free of cancellation at s = 1; for 0 < s < 1 a step loses log10(A / (A - B))
-digits, more as s falls.  Seeds and run carry the loss predicted from 53-bit
-ratios mu_{2k+2}/mu_{2k}, and a run that measures a larger loss is repeated
-with that guard.  ``source="quadrature"`` takes every even entry from one exp-exp
-rule (y^k more in the integral above) as the independent check.  Odd entries are
-exact zeros.
+``moment_table`` takes its top two entries mu_{2K} and mu_{2K-2} from ``mu0``
+and fills the rest downward with the recurrence from integrating
+d/dx [x^(2k+1) w(x)]: (a + 2k + 1) mu_{2k} = 2N (1-s) mu_{2k+2} + 4N s mu_{2k+4}.
+For 0 <= s <= 1 every term on the right is non-negative, so downward the moments
+are the dominant solution (Gautschi, SIAM Rev. 9, 1967) and no step cancels: the
+table keeps the seeds' digits less a few ulps per step, with no guard to predict.
+``source="quadrature"`` takes every even entry from one exp-exp rule (y^k more in
+the integral above) as the independent check.  Odd entries are exact zeros.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Literal
 
-from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, log10, pcfd
+from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, pcfd
 
 from .numerics import (NumericContext, DomainError, to_fraction, fraction_to_mpf,
                        exp_exp_moments)
@@ -148,42 +146,16 @@ def mu0(params: WeightParams, ctx: NumericContext) -> mpf:
     return mu0_closed_form(params, ctx)
 
 
-def _recurrence_loss(params: WeightParams, count: int) -> float:
-    """Digits lost computing mu_4..mu_{2(count-1)}, from the backward continued fraction
-    r_k = mu_{2k+2}/mu_{2k} = (a + 2k + 1) / (2N(1-s) + 4Ns r_{k+1}) at 53 bits."""
-    with mp.workprec(53):
-        s, a, n = params.mpfs()
-        c1, c2, top = 2 * n * (1 - s), 4 * n * s, a + 2 * count - 1
-        r = 2 * top / (c1 + sqrt(c1 * c1 + 4 * c2 * top))    # fixed point of the last step
-        amplification = mp.one
-        for k in reversed(range(count - 2)):
-            r, r_next = (a + 2 * k + 1) / (c1 + c2 * r), r
-            amplification *= (a + 2 * k + 1) / (c2 * r * r_next)    # A / (A - B)
-        return float(log10(amplification))
-
-
 def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list:
-    """mu_0, mu_2, ..., mu_{2(count-1)} to ctx.digits + 10 digits."""
-    lost = 0.0 if params.is_gaussian else _recurrence_loss(params, count)
-    while True:
-        seed_ctx = NumericContext(digits=ctx.digits + ceil(lost))
-        with mp.workdps(seed_ctx.digits + 10):
-            s, a, n = params.mpfs()
-            mus = [mu0(params.shifted(2 * k), seed_ctx) for k in range(min(count, 2))]
-            amplification = mp.one
-            for k in range(count - 2):
-                if s == 0:      # 2N mu_{2k+4} = (a + 2k + 3) mu_{2k+2}
-                    mus.append((a + 2 * k + 3) * mus[k + 1] / (2 * n))
-                    continue
-                big, small = (a + 2 * k + 1) * mus[k], 2 * n * (1 - s) * mus[k + 1]
-                diff = max(big - small, mp.eps * big)    # a lost sign is total loss
-                mus.append(diff / (4 * n * s))
-                amplification *= big / diff
-            measured = float(log10(amplification))
-        if measured <= lost + 1:
-            with mp.workdps(ctx.digits + 10):
-                return [+mu for mu in mus]
-        lost = measured
+    """mu_0, mu_2, ..., mu_{2(count-1)} to ctx.digits + 10 digits, downward from the top two."""
+    with mp.workdps(ctx.digits + 10):
+        s, a, n = params.mpfs()
+        c1, c2 = 2 * n * (1 - s), 4 * n * s
+        seeds = range(max(count - 2, 0), count)     # K - 1 and K, K = count - 1
+        mus = [mu0(params.shifted(2 * k), ctx) for k in reversed(seeds)]
+        for k in reversed(range(count - 2)):    # (a + 2k + 1) mu_{2k} = c1 mu_{2k+2} + c2 mu_{2k+4}
+            mus.append((c1 * mus[-1] + c2 * mus[-2]) / (a + 2 * k + 1))
+        return mus[::-1]
 
 
 def moment_table(params: WeightParams, max_order: int, ctx: NumericContext,

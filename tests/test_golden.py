@@ -14,7 +14,10 @@ displays, which used to be summed at the ambient 15-digit precision, and
 solve's digits.  Both run at alpha = 0, where every alternating coefficient
 vanishes, so ``beta_largen_alpha`` and ``sweep_largen_alpha`` (alpha = 3/2)
 hold the parity split; they were captured before the solve dropped its
-sigma-pair series for one plain series per parity.
+sigma-pair series for one plain series per parity.  ``moments`` and
+``moments_small_s`` (s = 0.01, N = 5, 40th order, where the forward moment
+recurrence cancelled about 27 digits) were captured before the closed-form
+table ran its recurrence downward from the top two moments.
 """
 from pathlib import Path
 
@@ -39,6 +42,9 @@ CASES = {
     "beta_largen_alpha": (("beta", "--method", "largen", "--alpha", "3/2", "--s", "0.3",
                            "--N", "2"), 0),
     "sweep_largen_alpha": (("sweep", "--method", "largen", "--alpha", "3/2"), 0),
+    "moments": (("moments",), 0),
+    "moments_small_s": (("moments", "--s", "0.01", "--alpha", "2.1", "--N", "5",
+                         "--max-order", "40"), 0),
 }
 
 

@@ -79,9 +79,10 @@ class TestBetaFromMoments:
 
     @pytest.mark.parametrize("s", ["1/1000", "5/1000"])
     def test_small_s_recurrence_guard(self, s, ctx100):
-        # The moment recurrence cancels 25-35 digits here.  Its guard keeps the
-        # table at 10^-digits, and the first Hankel attempt (100 + 20 + 2 * 15
-        # digits) passes its self-check without escalating.
+        # Run forward, the moment recurrence cancels 25-35 digits here; run
+        # downward from its top two entries it cancels none and keeps the table
+        # at 10^-digits, and the first Hankel attempt (100 + 20 + 2 * 15 digits)
+        # passes its self-check without escalating.
         params, n = WeightParams(s, 0, 8), 14
         table = moment_table(params, 2 * n, ctx100)
         oracle = per_entry_table(params, 2 * n, ctx100)

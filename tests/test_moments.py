@@ -1,9 +1,9 @@
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma
 
-from dfreud import (NumericContext, WeightParams, DomainError, mu0_quadrature,
+from dfreud import (NumericContext, WeightParams, DomainError, mu0, mu0_quadrature,
                     mu0_closed_form, mu0_gaussian, parabolic_cylinder_D, moment_table,
-                    exp_exp_moments)
+                    exp_exp_moments, moments)
 from conftest import assert_close
 from oracles import parabolic_cylinder_D_integral
 
@@ -152,6 +152,22 @@ class TestMomentTable:
         with mp.workdps(50):
             for j in range(0, 9, 2):
                 assert abs(table.mu(j) - ref.mu(j)) <= mpf(10) ** -(ctx.digits - 10) * ref.mu(j), j
+
+    @pytest.mark.parametrize("max_order", [0, 2, 4, 80])
+    @pytest.mark.parametrize("s", ["0", "1/1000", "1/2", "1"])
+    def test_closed_form_seeds_are_the_top_two(self, s, max_order, ctx60, monkeypatch):
+        # the table runs downward from mu_{2K} and mu_{2K-2}: no other mu0 call
+        params, count = WeightParams(s, "1/2", 2), max_order // 2 + 1
+        seeds = []
+
+        def counting_mu0(shifted, ctx):
+            seeds.append(shifted.alpha - params.alpha)
+            return mu0(shifted, ctx)
+
+        monkeypatch.setattr(moments, "mu0", counting_mu0)
+        moment_table(params, max_order, ctx60)
+        assert len(seeds) == min(count, 2)
+        assert sorted(seeds) == [2 * k for k in range(max(count - 2, 0), count)]
 
     def test_rescaling_spot_check(self):
         # substituting x -> c x maps (s, N) to (s', N') with

@@ -8,6 +8,9 @@
   same beta_n, the polynomials built from Hankel betas are orthonormal against
   quadrature moments, and the Hankel betas lie below the closed-form upper
   bound.
+* Over s in [1/1000, 1], alpha in (-1, 5], N in [1/4, 8] and max_order <= 80,
+  the downward moment table matches one pcfd call per entry to 10^-(digits+5),
+  five digits past the 10^-digits it promises.
 * Over s in [0, 1], alpha in (-1, 5], N log-uniform in [1/1000, 50] at 30 and
   60 digits, the exp-exp quadrature moment table matches the closed-form one.
 * Over alpha in (-1, 5] at 30, 60 and 120 digits, the one-call Barnes-G block
@@ -30,7 +33,7 @@
 from fractions import Fraction
 from math import log10
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
@@ -44,8 +47,12 @@ from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_pol
                      string_coefficients_lu)
 
 CTX = NumericContext(digits=60)
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+# no shrink or explain phase: a derandomized failure reproduces as found, and
+# shrinking an mpmath example can take minutes before the failure is reported
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50, database=None,
+                    phases=(Phase.explicit, Phase.generate, Phase.target))
 ROUTES = settings(PROPERTY, max_examples=40)
+DOWNWARD = settings(PROPERTY, max_examples=15)
 GRAM = settings(PROPERTY, max_examples=3)
 BOUND = settings(PROPERTY, max_examples=30)
 BARNES = settings(PROPERTY, max_examples=30)
@@ -65,6 +72,11 @@ n_range = st.integers(min_value=2, max_value=8)
 small_s = st.builds(lambda m, e: Fraction(m, 10 ** e), st.integers(1, 100), st.integers(2, 4))
 big_ns = st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominator=100)
 full_box = st.builds(WeightParams, small_s, alphas, big_ns)
+downward_box = st.builds(
+    WeightParams,
+    st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000),
+    alphas,
+    st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=100))
 log_uniform_ns = st.builds(lambda x: Fraction(10 ** x).limit_denominator(10 ** 6),
                            st.floats(min_value=-3, max_value=log10(50)))
 closed_s = st.fractions(min_value=0, max_value=1, max_denominator=1000)
@@ -103,6 +115,17 @@ def test_recurrence_table_matches_per_entry_pcfd(params, max_order):
     with mp.workdps(CTX.digits + 10):
         for got, want in zip(table.values[::2], oracle.values[::2]):
             assert abs(got - want) <= mpf(10) ** -CTX.digits * want
+
+
+@DOWNWARD
+@given(params=downward_box, max_order=st.integers(min_value=0, max_value=80))
+def test_downward_table_keeps_every_digit(params, max_order):
+    # the upward recurrence lost up to about 40 digits in this box
+    table = moment_table(params, max_order, CTX)
+    oracle = per_entry_table(params, max_order, NumericContext(digits=CTX.digits + 10))
+    with mp.workdps(CTX.digits + 20):
+        for got, want in zip(table.values[::2], oracle.values[::2]):
+            assert abs(got - want) <= mpf(10) ** -(CTX.digits + 5) * want
 
 
 @ROUTES
