@@ -22,7 +22,7 @@ its predicted remainder order:
 
 3. n, N -> infinity with r = n/N fixed (``beta_double_scaling``):
    beta = a0(s) + a1(s)/N + a2(s)/N^2 + O(N^{-3}) where a0 solves the
-   Coulomb-fluid cubic, and a1 (the standard parity-dependent correction) and
+   Coulomb-fluid quadratic, and a1 (the standard parity-dependent correction) and
    a2 come from substituting the expansion into the N-slices of the
    second-order ODE, written once in ``recurrence`` next to
    ``ode25_residual``; the Hankel data confirms a2 at the O(N^{-3}) rate.
@@ -30,7 +30,12 @@ its predicted remainder order:
 The fluid endpoint b^2 (support edge of the equilibrium density) and the
 Mhaskar-Rakhmanov-Saff number a_mu share one quadratic-in-the-square
 normalisation (3/2) N s a^4 + N (1-s) a^2 = mu; the endpoint for n particles
-corresponds to mu = 2n + alpha, and beta_n / a_mu^2 -> 1/4.
+corresponds to mu = 2n + alpha, and beta_n / a_mu^2 -> 1/4.  This is the
+reduction of the dP_I that gives a0: with beta_{n+-1} = beta_n it reads
+12 N s x^2 + 2 N (1-s) x = n + alpha Delta_n, whose root is a0 to leading
+order at r = n/N, and is exactly b^2/4 at n + alpha/2.  One root,
+``recurrence._positive_root``, serves both reductions (the upper bound drops
+beta_{n+-1} instead) and is free of cancellation as s -> 0.
 """
 from __future__ import annotations
 
@@ -38,16 +43,13 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Optional
 
 from mpmath import mp, mpf, mpmathify, sqrt
 
-from .numerics import NumericContext, DomainError, fraction_to_mpf
+from .numerics import NumericContext, DomainError, fraction_to_mpf, _DEFAULT_CTX
 from .moments import WeightParams
-from .recurrence import ParityData, _laurent, _ode_slices, _ode_beta_prime_term
-
-_DEFAULT_DIGITS = 50
-
+from .recurrence import (ParityData, _laurent, _ode_slices, _ode_beta_prime_term,
+                         _positive_root)
 
 # ---------------------------------------------------------------------------
 # regime 1: s -> 0
@@ -63,7 +65,7 @@ class SmallSCoefficients:
 
 
 def small_s_coefficients(n: int, params: WeightParams,
-                         ctx: Optional[NumericContext] = None) -> SmallSCoefficients:
+                         ctx: NumericContext = _DEFAULT_CTX) -> SmallSCoefficients:
     """Series data for beta_n(s) = pref * (1 + c1 s + c2 s^2 + c3 s^3 + O(s^4)).
 
     c1 matches the theorem statement; c2 and c3 are the series solution of the
@@ -76,8 +78,7 @@ def small_s_coefficients(n: int, params: WeightParams,
 
     with Q = sqrt(q_n) = n + alpha Delta_n.
     """
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         par = ParityData.for_index(n, params.alpha)
         N = fraction_to_mpf(params.big_n)
         p = fraction_to_mpf(par.p_n)
@@ -94,13 +95,12 @@ def small_s_coefficients(n: int, params: WeightParams,
 
 
 def beta_small_s(n: int, params: WeightParams,
-                 ctx: Optional[NumericContext] = None) -> mpf:
+                 ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """Small-s evaluation of beta_n; meaningful accuracy needs s <~ 0.05."""
     if n == 0:
         return mp.zero
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
     data = small_s_coefficients(n, params, ctx)
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         s = fraction_to_mpf(params.s)
         c0, c1, c2, c3 = data.c
         return data.prefactor * (c0 + c1 * s + c2 * s * s + c3 * s ** 3)
@@ -205,14 +205,13 @@ def _solve_string_coefficients(s, alpha, N) -> list:
 
 
 def large_n_coefficients(params: WeightParams, parity: str,
-                         ctx: Optional[NumericContext] = None) -> LargeNCoefficients:
+                         ctx: NumericContext = _DEFAULT_CTX) -> LargeNCoefficients:
     """Expansion coefficients d_1..d_7 for the requested parity (cached)."""
     if params.s == 0:
         raise DomainError("the large-n expansion needs s > 0")
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    even, odd = _large_n_parities(params, digits)
+    even, odd = _large_n_parities(params, ctx.digits)
     return even if parity == "even" else odd
 
 
@@ -233,13 +232,12 @@ def _large_n_parities(params: WeightParams, digits: int) -> tuple:
 
 
 def beta_large_n(n: int, params: WeightParams,
-                 ctx: Optional[NumericContext] = None) -> mpf:
+                 ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """Large-n evaluation of beta_n through the n^{-3} term (O(n^{-7/2}) remainder)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
     data = large_n_coefficients(params, "even" if n % 2 == 0 else "odd", ctx)
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         t = 1 / sqrt(mpf(n))
         total = mp.zero
         for dk in reversed(data.d):  # Horner in t for 1 + sum_k d_k t^k
@@ -253,12 +251,10 @@ def beta_large_n(n: int, params: WeightParams,
 
 @dataclass(frozen=True)
 class DoubleScalingData:
-    """r = n/N, the auxiliary g(s), g~(s) = s - 1 + g(s) and f(s), and the
-    expansion coefficients a0, a0' = da0/ds, a1, a2."""
+    """r = n/N, f(s) = 1 - 2s - 4rs + s^2 (which the printed odd-n forms divide
+    by), and the expansion coefficients a0, a0' = da0/ds, a1, a2."""
 
     r: mpf
-    g_s: mpf
-    g_tilde: mpf
     f_s: mpf
     a0: mpf
     a0p: mpf
@@ -269,19 +265,24 @@ class DoubleScalingData:
 def g_and_g_tilde(s, r) -> tuple:
     """g(s) = sqrt(1 - 2s + 12rs + s^2) and g~(s) = s - 1 + g(s) at n = r N.
 
-    g~ is formed as s (g + s + 12r - 1)/(1 + g), free of the cancellation in
-    s - 1 + g as s -> 0.
+    Both come from the fluid root a0 of 6 s a0^2 + (1-s) a0 = r/2, as
+    g~ = 12 s a0 and g = 1 - s + g~, so nothing cancels as s -> 0.
     """
-    g = sqrt(1 - 2 * s + 12 * r * s + s * s)
-    return g, s * (g + s + 12 * r - 1) / (1 + g)
+    gt = 12 * s * _positive_root(6 * s, 1 - s, r / 2)
+    return 1 - s + gt, gt
 
 
 def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
     """a0, a1, a2 for beta_n = a0 + a1/N + a2/N^2 + O(N^{-3}) at n = r N.
 
     s, r and alpha are mpf; the work runs at the caller's working precision.
-    a0 = (s - 1 + g)/(12 s) solves the fluid cubic, with
-    g = sqrt(1 - 2s + 12rs + s^2).  Substituting the expansion into the ODE
+    a0 is the positive root of 6 s a0^2 + (1-s) a0 = r/2, the dP_I with
+    beta_{n+-1} = beta_n at leading order, and differentiating that quadratic
+    at fixed r gives, with g = 1 - s + 12 s a0,
+
+        a0' = a0 (1 - 6 a0)/g,   a0'' = a0' (2 - 24 a0 - 12 s a0')/g,
+
+    none of which cancels as s -> 0.  Substituting the expansion into the ODE
     residual N^2 S2 + N S1 + S0 + T (``recurrence._ode_slices`` and the
     beta'-bearing term T) and collecting powers of N gives
     a1 = -S1(a0)/S2'(a0), which agrees with the closed parity-dependent forms,
@@ -296,27 +297,23 @@ def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
         raise DomainError("parity must be 'even' or 'odd'")
     if s <= 0:
         raise DomainError("double-scaling regime needs s > 0")
-    f_s = 1 - 2 * s - 4 * r * s + s * s
-    g, gt = g_and_g_tilde(s, r)
-    a0 = gt / (12 * s)
-    gp = (s + 6 * r - 1) / g
-    gpp = (g * g - (s + 6 * r - 1) ** 2) / g ** 3
-    a0p = (s * (1 + gp) - gt) / (12 * s ** 2)
-    a0pp = (s * s * gpp - 2 * s * (1 + gp) + 2 * gt) / (12 * s ** 3)
+    a0 = _positive_root(6 * s, 1 - s, r / 2)
+    g = 1 - s + 12 * s * a0
+    a0p = a0 * (1 - 6 * a0) / g
+    a0pp = a0p * (2 - 24 * a0 - 12 * s * a0p) / g
     s2, s1, s0 = _ode_slices(s, r, alpha, 0 if parity == "even" else 1)
     s2_d1 = _laurent(s2, a0, 1)
     a1 = -_laurent(s1, a0) / s2_d1
     c_val = _laurent(s0, a0) + _ode_beta_prime_term(s, a0, a0p, a0pp)
     a2 = -(_laurent(s2, a0, 2) * a1 ** 2 / 2 + _laurent(s1, a0, 1) * a1 + c_val) / s2_d1
-    return DoubleScalingData(r=r, g_s=g, g_tilde=gt, f_s=f_s, a0=a0, a0p=a0p,
+    return DoubleScalingData(r=r, f_s=1 - 2 * s - 4 * r * s + s * s, a0=a0, a0p=a0p,
                              a1=a1, a2=a2)
 
 
 def double_scaling_data(n: int, big_n, s, alpha,
-                        ctx: Optional[NumericContext] = None) -> DoubleScalingData:
+                        ctx: NumericContext = _DEFAULT_CTX) -> DoubleScalingData:
     """``double_scaling_coefficients`` at r = n/N for the parity of n."""
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         r = mpf(n) / mpmathify(big_n)
         if not (0 < r <= 1):
             raise DomainError(f"r = n/N must lie in (0, 1], got {r}")
@@ -325,11 +322,10 @@ def double_scaling_data(n: int, big_n, s, alpha,
 
 
 def beta_double_scaling(n: int, big_n, s, alpha,
-                        ctx: Optional[NumericContext] = None) -> mpf:
+                        ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """Double-scaling evaluation a0 + a1/N + a2/N^2 with parity-correct a1, a2."""
     data = double_scaling_data(n, big_n, s, alpha, ctx)
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         Nv = mpmathify(big_n)
         return data.a0 + data.a1 / Nv + data.a2 / Nv ** 2
 
@@ -351,42 +347,32 @@ class FluidEndpoint:
     a_mu: mpf
 
 
-def _fluid_root(mu, params: WeightParams) -> mpf:
-    """Positive root x = a^2 of (3/2) N s x^2 + N (1-s) x = mu; mu/N at s = 0."""
-    s, _, N = params.mpfs()
-    if s == 0:
-        return mu / N
-    disc = N * N * (1 - s) ** 2 + 6 * N * s * mu
-    # -N(1-s) + sqrt(disc), stabilised against cancellation as s -> 0
-    return ((disc - N * N * (1 - s) ** 2) / (sqrt(disc) + N * (1 - s))) / (3 * N * s)
-
-
 def coulomb_b_squared(n: int, params: WeightParams,
-                      ctx: Optional[NumericContext] = None) -> mpf:
+                      ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """b^2 = [s - 1 + sqrt((1-s)^2 + 6 s (2n+alpha)/N)]/(3s): the squared MRS
-    number at mu = 2n + alpha, with the limit (2n + alpha)/N at s = 0."""
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    with mp.workdps(digits + 10):
-        return _fluid_root(2 * n + fraction_to_mpf(params.alpha), params)
+    number at mu = 2n + alpha, taken as the positive root of
+    (3/2) N s x^2 + N (1-s) x = mu (``recurrence._positive_root``), which
+    keeps every digit as s -> 0 and is (2n + alpha)/N at s = 0."""
+    with mp.workdps(ctx.digits + 10):
+        s, a, N = params.mpfs()
+        return _positive_root(3 * N * s / 2, N * (1 - s), 2 * n + a)
 
 
 def mrs_number(mu, params: WeightParams,
-               ctx: Optional[NumericContext] = None) -> mpf:
+               ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """Unique positive root a of (3/2) N s a^4 + N (1-s) a^2 = mu."""
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         mu = mpmathify(mu)
         if mu <= 0:
             raise DomainError("mu must be positive")
-        return sqrt(_fluid_root(mu, params))
+        s, _, N = params.mpfs()
+        return sqrt(_positive_root(3 * N * s / 2, N * (1 - s), mu))
 
 
 def fluid_endpoint(n: int, params: WeightParams,
-                   ctx: Optional[NumericContext] = None) -> FluidEndpoint:
-    """b^2 and the MRS number at the particle-number normalisation mu = 2n + alpha."""
-    digits = ctx.digits if ctx is not None else _DEFAULT_DIGITS
-    with mp.workdps(digits + 10):
-        _, a, _ = params.mpfs()
-        return FluidEndpoint(n=n,
-                             b_squared=coulomb_b_squared(n, params, ctx),
-                             a_mu=mrs_number(2 * n + a, params, ctx))
+                   ctx: NumericContext = _DEFAULT_CTX) -> FluidEndpoint:
+    """b^2 and the MRS number a_mu = sqrt(b^2) at the particle-number
+    normalisation mu = 2n + alpha."""
+    b_squared = coulomb_b_squared(n, params, ctx)
+    with mp.workdps(ctx.digits + 10):
+        return FluidEndpoint(n=n, b_squared=b_squared, a_mu=sqrt(b_squared))

@@ -26,9 +26,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, nstr
+from mpmath import mp, mpmathify, nstr
 
-from .numerics import NumericContext, DomainError, to_fraction
+from .numerics import NumericContext, DomainError, to_fraction, fraction_to_mpf
 from .moments import WeightParams, moment_table
 from . import hankel, recurrence, asymptotics, polynomials, detasympt
 from .verification import run_suite, SUITES
@@ -112,7 +112,7 @@ def cmd_beta(args) -> int:
             with mp.workdps(args.digits):
                 values = [recurrence.beta_at_s0(n, params.alpha, params.big_n)
                           for n in range(n_max + 1)]
-                values = [mpf(v.numerator) / v.denominator for v in values]
+                values = [fraction_to_mpf(v) for v in values]
         else:
             seq = hankel.beta_from_moments(params, n_max, ctx,
                                            max_digits=_max_digits())
@@ -179,11 +179,7 @@ def cmd_logdet(args) -> int:
             exp_data = detasympt.logdet_expansion(args.quantity, n, args.r,
                                                   args.alpha, ctx=ctx)
             rows.append((n, exp_data.parity, _decimal(exp_data.value, args.digits),
-                         _decimal(exp_data.n2, args.digits),
-                         _decimal(exp_data.n1, args.digits),
-                         _decimal(exp_data.logn, args.digits),
-                         _decimal(exp_data.const, args.digits),
-                         _decimal(exp_data.invn, args.digits)))
+                         *(_decimal(c, args.digits) for c in exp_data.terms().values())))
         _emit(("n", "parity", "value", "c_n2", "c_n", "c_logn", "c_1", "c_invn"),
               rows, args.format, args.out)
     return 0
@@ -235,7 +231,7 @@ def cmd_sweep(args) -> int:
             if params.is_gaussian:
                 values = {n: recurrence.beta_at_s0(n, params.alpha, params.big_n)
                           for n in n_list}
-                values = {n: mpf(v.numerator) / v.denominator for n, v in values.items()}
+                values = {n: fraction_to_mpf(v) for n, v in values.items()}
             elif args.method == "hankel":
                 seq = hankel.beta_from_moments(params, max(n_list), ctx,
                                                max_digits=_max_digits())

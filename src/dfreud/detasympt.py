@@ -43,11 +43,11 @@ from typing import Literal, Optional
 
 from mpmath import mp, mpf, mpmathify, log, loggamma, pi, matrix, lu_solve, fsum, diff
 
-from .numerics import NumericContext, DomainError, barnes_g_log
+from .numerics import NumericContext, DomainError, barnes_g_log, _DEFAULT_CTX
 from .moments import WeightParams
 from .hankel import BetaSequence, beta_from_moments
-from .recurrence import beta_prime, delta_parity, _laurent
-from .asymptotics import double_scaling_coefficients, g_and_g_tilde
+from .recurrence import beta_prime, delta_parity, _laurent, _positive_root
+from .asymptotics import double_scaling_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
 
 @dataclass(frozen=True)
 class AppendixBCoefficients:
-    """A(s), B(s), C(s), D(s) with the auxiliary quantities they are built from."""
+    """A(s), B(s), C(s), D(s) at one (s, r, alpha) for n of one parity."""
 
     s: mpf
     r: mpf
@@ -130,18 +130,15 @@ class AppendixBCoefficients:
     b_s: mpf
     c_s: mpf
     d_s: mpf
-    g_s: mpf
-    g_tilde: mpf
-    f_s: mpf
 
 
 def _a_coefficient(s, r) -> mpf:
     """A(s) = t2(a0): the N^2 slice of d/ds log D_n at the fluid solution a0."""
-    return _laurent(_logdet_slices(s, r, 0, 0)[0], g_and_g_tilde(s, r)[1] / (12 * s))
+    return _laurent(_logdet_slices(s, r, 0, 0)[0], _positive_root(6 * s, 1 - s, r / 2))
 
 
 def appendix_b_coefficients(s, r, alpha, parity: str,
-                            ctx: Optional[NumericContext] = None) -> AppendixBCoefficients:
+                            ctx: NumericContext = _DEFAULT_CTX) -> AppendixBCoefficients:
     """Evaluate A(s), B(s), C(s), D(s) for n of the given parity at n = r N.
 
     Substituting beta = a0 + a1/N + a2/N^2 + a3/N^3 into N^2 t2 + N t1 + t0 + T
@@ -159,7 +156,7 @@ def appendix_b_coefficients(s, r, alpha, parity: str,
     digits per decade of 1/s to cancellation, so the working precision grows
     by one digit per bit of 1/s on top of 15 guard digits.
     """
-    digits = (ctx.digits if ctx is not None else 50) + 15
+    digits = ctx.digits + 15
     s_in = mpmathify(s)
     with mp.workdps(digits - mp.mag(s_in) if 0 < s_in < 1 else digits):
         s, r, alpha = mpmathify(s), mpmathify(r), mpmathify(alpha)
@@ -183,8 +180,7 @@ def appendix_b_coefficients(s, r, alpha, parity: str,
                + _laurent(t1, a0, 1) * a2 + _laurent(t1, a0, 2) * a1 ** 2 / 2
                + _laurent(t0, a0, 1) * a1 + dt)
         return AppendixBCoefficients(s=+s, r=+r, alpha=+alpha, parity=parity,
-                                     a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s,
-                                     g_s=+ds.g_s, g_tilde=+ds.g_tilde, f_s=+ds.f_s)
+                                     a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s)
 
 
 def fit_abc(s, r, alpha, big_ns, ctx: NumericContext) -> tuple:
@@ -278,7 +274,7 @@ def _display_terms(quantity: Quantity, lr, alpha, even: bool, ctx: NumericContex
 
 def logdet_expansion(quantity: Quantity, n: int, r, alpha,
                      parity: Optional[str] = None,
-                     ctx: Optional[NumericContext] = None) -> LogDetExpansion:
+                     ctx: NumericContext = _DEFAULT_CTX) -> LogDetExpansion:
     """Evaluate the cited large-n display through its 1/n term (n = r N).
 
     quantity = "ratio_10": log(D_n(1)/D_n(0));  "D0": log D_n(0);
@@ -291,7 +287,6 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
         parity = "even" if n % 2 == 0 else "odd"
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    ctx = ctx or NumericContext(digits=50)
     with mp.workdps(ctx.digits + 10):
         r, alpha = mpmathify(r), mpmathify(alpha)
         if not (0 < r <= 1):

@@ -101,6 +101,10 @@ class NumericContext:
         return Fraction(1, 10 ** max(2, self.digits // 5))
 
 
+#: the context of every routine whose ``ctx`` argument may be left out.
+_DEFAULT_CTX = NumericContext(digits=50)
+
+
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------

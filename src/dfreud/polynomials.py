@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 from mpmath import mp, mpf, mpmathify, sqrt, fsum
 from mpmath import quad  # noqa: F401  -- unused here; bench/tracer.py spans polynomials.quad
 
-from .numerics import NumericContext, DomainError, PoleError
+from .numerics import NumericContext, DomainError, PoleError, _DEFAULT_CTX
 from .moments import WeightParams, moment_table
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import delta_parity
@@ -297,10 +297,9 @@ class HeunParameters:
 
 
 def heun_parameters(alpha, big_n, s, n: int,
-                    ctx: Optional[NumericContext] = None) -> HeunParameters:
+                    ctx: NumericContext = _DEFAULT_CTX) -> HeunParameters:
     """Heun limit; DomainError unless N s > 0 and (s, alpha, N) is a valid WeightParams."""
-    digits = ctx.digits if ctx is not None else 50
-    with mp.workdps(digits + 10):
+    with mp.workdps(ctx.digits + 10):
         alpha, N, s = mpmathify(alpha), mpmathify(big_n), mpmathify(s)
         if N * s <= 0:
             raise DomainError("need N s > 0")

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpmathify, isfinite, fsum, sqrt
 
-from .numerics import NumericContext, DomainError
+from .numerics import NumericContext, DomainError, _DEFAULT_CTX
 from .moments import WeightParams, mu0
 from .hankel import BetaSequence, beta_from_moments
 
@@ -220,17 +220,21 @@ def ode25_residual(n: int, params: WeightParams, ctx: NumericContext,
                                         beta_second(n, betas, params)))
 
 
-def upper_bound(n: int, params: WeightParams, ctx: Optional[NumericContext] = None) -> mpf:
-    """Closed-form upper bound 0 < beta_n < -(1-s)/(4s) + sqrt((...)^2 + l_n/(4Ns)),
-    formed as l/(half + sqrt(half^2 + l)), free of the cancellation as s -> 0."""
+def _positive_root(a, b, c) -> mpf:
+    """The root x >= 0 of a x^2 + b x = c for a, b, c >= 0, formed as
+    2c/(b + sqrt(b^2 + 4ac)): nothing cancels, and at a = 0 it is c/b exactly."""
+    return 2 * c / (b + sqrt(b * b + 4 * a * c))
+
+
+def upper_bound(n: int, params: WeightParams, ctx: NumericContext = _DEFAULT_CTX) -> mpf:
+    """Closed-form upper bound 0 < beta_n < -(1-s)/(4s) + sqrt((...)^2 + l_n/(4Ns)):
+    the dP_I without beta_{n+-1}, the positive root of
+    4Ns x^2 + 2N(1-s) x = n + alpha Delta_n (``_positive_root``)."""
     if params.s == 0:
         raise DomainError("the bound is stated for s > 0")
-    digits = ctx.digits if ctx is not None else 50
-    with mp.workdps(digits):
+    with mp.workdps(ctx.digits):
         s, a, N = params.mpfs()
-        half = (1 - s) / (4 * s)
-        ell = (n + a * delta_parity(n)) / (4 * N * s)
-        return ell / (half + sqrt(half * half + ell))
+        return _positive_root(4 * N * s, 2 * N * (1 - s), n + a * delta_parity(n))
 
 
 @dataclass(frozen=True)

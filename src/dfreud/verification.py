@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpf, mpmathify, sqrt, log, nstr
 
-from .numerics import NumericContext, central_difference
+from .numerics import NumericContext, central_difference, fraction_to_mpf
 from .moments import WeightParams
 from . import hankel, recurrence, asymptotics, polynomials, detasympt
 
@@ -111,7 +111,7 @@ def criterion_1(digits: int = 120) -> list[Check]:
                 seq = hankel.beta_from_moments(params, 20, NumericContext(digits=digits))
                 for n in range(1, 21):
                     exact = recurrence.beta_at_s0(n, params.alpha, params.big_n)
-                    diff = abs(seq[n] - mpf(exact.numerator) / exact.denominator)
+                    diff = abs(seq[n] - fraction_to_mpf(exact))
                     worst = max(worst, diff)
         checks.append(Check.build(
             "1.gauss-closure",
@@ -302,8 +302,7 @@ def criterion_9(digits: int = 100) -> list[Check]:
         def logdet_at(sv):
             return hankel.logdet(WeightParams(sv, params.alpha, params.big_n), n, ctx)
 
-        fd = central_difference(logdet_at, mpmathify(params.s.numerator) / params.s.denominator,
-                                1, ctx)
+        fd = central_difference(logdet_at, fraction_to_mpf(params.s), 1, ctx)
         summed = detasympt.logdet_derivative_sum(n, params, ctx)
         return [
             Check.build("9.logdet-vs-fd",

@@ -245,6 +245,19 @@ class TestDoubleScaling:
         with pytest.raises(DomainError):
             double_scaling_data(80, 40, "0.5", 1)
 
+    @pytest.mark.parametrize("r", ["1/8", "7/10", "1"])
+    @pytest.mark.parametrize("s", ["1e-3", "1e-10", "1e-20"])
+    def test_a0_prime_keeps_every_digit(self, s, r):
+        # a0' = a0 (1 - 6 a0)/g from the fluid quadratic, against mp.diff of its
+        # root a0 = r/((1-s) + sqrt((1-s)^2 + 12 s r)) taken at 400 digits;
+        # the s-divided form lost log10(1/s) digits
+        with mp.workdps(60):
+            s, r = mpf(s), fraction_to_mpf(Fraction(r))
+            got = asymptotics.double_scaling_coefficients(s, r, mpf(1), "even").a0p
+        with mp.workdps(400):
+            want = mp.diff(lambda x: r / (1 - x + sqrt((1 - x) ** 2 + 12 * x * r)), s)
+            assert abs(got - want) < mpf(10) ** -55
+
 
 class TestFluid:
     def test_b_squared_example(self):
@@ -280,6 +293,24 @@ class TestFluid:
         with mp.workdps(60):
             got = mrs_number(5, WeightParams(0, 0, 2))
             assert abs(got - sqrt(mpf("2.5"))) < mpf(10) ** -45
+
+    @pytest.mark.parametrize("s", ["1e-20", "1e-60"])
+    @pytest.mark.parametrize("evaluate, mu, power", [
+        (lambda p, c: coulomb_b_squared(5, p, c), "11.5", 1),
+        (lambda p, c: mrs_number(7, p, c), "7", 2),
+        (lambda p, c: fluid_endpoint(5, p, c).b_squared, "11.5", 1),
+        (lambda p, c: fluid_endpoint(5, p, c).a_mu, "11.5", 2),
+    ], ids=["b_squared", "mrs", "endpoint_b_squared", "endpoint_a_mu"])
+    def test_roots_keep_every_digit(self, evaluate, mu, power, s):
+        # against the positive root 2 mu/(N(1-s) + sqrt(N^2 (1-s)^2 + 6 N s mu)) at
+        # 400 digits; re-forming 6 N s mu as disc - N^2 (1-s)^2 lost log10(1/s) digits
+        params = WeightParams(s, "3/2", 2)
+        got = evaluate(params, NumericContext(50))
+        with mp.workdps(400):
+            s_, _, N = params.mpfs()
+            mu = mpf(mu)
+            want = 2 * mu / (N * (1 - s_) + sqrt((N * (1 - s_)) ** 2 + 6 * N * s_ * mu))
+            assert abs(got ** power / want - 1) < mpf(10) ** -50
 
     def test_endpoint_consistency(self):
         # a_mu at mu = 2n + alpha squares to b^2 exactly

@@ -18,6 +18,8 @@ sigma-pair series for one plain series per parity.  ``moments`` and
 ``moments_small_s`` (s = 0.01, N = 5, 40th order, where the forward moment
 recurrence cancelled about 27 digits) were captured before the closed-form
 table ran its recurrence downward from the top two moments.
+``beta_double_small_s`` (s = 0.01) was captured before the double-scaling a0,
+a0' and a0'' came from one cancellation-free root of the fluid quadratic.
 """
 from pathlib import Path
 
@@ -33,6 +35,7 @@ CASES = {
     "beta_smalls": (("beta", "--method", "smalls"), 0),
     "beta_largen": (("beta", "--method", "largen"), 0),
     "beta_double": (("beta", "--method", "double"), 0),  # N defaults to n-max: r <= 1
+    "beta_double_small_s": (("beta", "--method", "double", "--s", "0.01"), 0),
     "hankel_det": (("hankel-det",), 0),
     "logdet_dlogds": (("logdet", "--quantity", "dlogds"), 0),
     "logdet_ratio_10": (("logdet", "--quantity", "ratio_10"), 0),
