@@ -11,6 +11,11 @@ sensitivity  perturbed dP_I trajectories (plot-ready long format)
 verify       run a named verification suite, emit a JSON report
 sweep        beta_n over an s-grid (plot-ready)
 
+beta and sweep share one route table, ``_betas``: hankel and dpi run once to the
+largest n (dpi pads with nan past a cone exit), the expansions run at each listed
+n, and beta_0 = 0.  The routes own s = 0: hankel and smalls give the closed form,
+dpi, largen, double and sensitivity exit 2, and sweep prints it for either method.
+
 Shared flags: --s --alpha --N --digits --format csv|json --out PATH.
 Values are emitted as decimal strings carrying min(digits, 50) significant
 digits (poly-ode's round-off residuals: 3); CSV always starts with a header row.
@@ -26,7 +31,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from mpmath import mp, mpmathify, nstr
+from mpmath import mp, mpmathify, nstr, log
 
 from .numerics import NumericContext, DomainError, to_fraction, fraction_to_mpf
 from .moments import WeightParams, moment_table
@@ -61,6 +66,10 @@ def _emit(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str,
         if meta:
             doc["meta"] = meta
         text = json.dumps(doc, indent=2) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -97,41 +106,31 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def cmd_beta(args) -> int:
-    method = args.method
-    if args.N is None:      # double scaling needs r = n/N <= 1, so N = n_max there
-        args.N = args.n_max if method == "double" else "1"
-    params = _params(args)
-    ctx = NumericContext(digits=args.digits)
-    if params.is_gaussian and method not in ("hankel", "smalls"):
-        raise DomainError(f"s = 0 supports only hankel or smalls, not {method}")
-    n_max = args.n_max
-    values: list = [mp.zero] * (n_max + 1)
-    if method == "hankel":
-        if params.is_gaussian:
-            with mp.workdps(args.digits):
-                values = [recurrence.beta_at_s0(n, params.alpha, params.big_n)
-                          for n in range(n_max + 1)]
-                values = [fraction_to_mpf(v) for v in values]
+def _betas(method: str, params: WeightParams, ns: Sequence[int],
+           ctx: NumericContext) -> dict:
+    """{n: beta_n} for n in ns by ``method``, as the module docstring sets out."""
+    if method in ("hankel", "dpi"):
+        top = max(ns, default=0)
+        if method == "hankel":
+            seq = hankel.beta_from_moments(params, top, ctx, max_digits=_max_digits())
         else:
-            seq = hankel.beta_from_moments(params, n_max, ctx,
-                                           max_digits=_max_digits())
-            values = list(seq.betas)
-    elif method == "dpi":
-        b1 = recurrence.beta1_initial(params, ctx)
-        seq = recurrence.dpi_forward(params, b1, n_max, ctx)
-        values = list(seq.betas) + [mp.nan] * (n_max + 1 - len(seq.betas))
-    elif method == "smalls":
-        values = [asymptotics.beta_small_s(n, params, ctx) for n in range(n_max + 1)]
-    elif method == "largen":
-        values = [mp.zero] + [asymptotics.beta_large_n(n, params, ctx)
-                              for n in range(1, n_max + 1)]
-    elif method == "double":
-        values = [mp.zero] + [asymptotics.beta_double_scaling(
-            n, params.big_n, params.s, params.alpha, ctx)
-            for n in range(1, n_max + 1)]
-    rows = [(n, _decimal(values[n], args.digits)) for n in range(n_max + 1)]
-    _emit(("n", "beta_n"), rows, args.format, args.out, meta={"method": method})
+            seq = recurrence.dpi_forward(params, recurrence.beta1_initial(params, ctx),
+                                         top, ctx)
+        return {n: seq[n] if n < len(seq) else mp.nan for n in ns}
+    route = {"smalls": lambda n: asymptotics.beta_small_s(n, params, ctx),
+             "largen": lambda n: asymptotics.beta_large_n(n, params, ctx),
+             "double": lambda n: asymptotics.beta_double_scaling(
+                 n, params.big_n, params.s, params.alpha, ctx)}[method]
+    return {n: route(n) if n else mp.zero for n in ns}
+
+
+def cmd_beta(args) -> int:
+    if args.N is None:      # double scaling needs r = n/N <= 1, so N = n_max there
+        args.N = args.n_max if args.method == "double" else "1"
+    ns = range(args.n_max + 1)
+    values = _betas(args.method, _params(args), ns, NumericContext(digits=args.digits))
+    rows = [(n, _decimal(values[n], args.digits)) for n in ns]
+    _emit(("n", "beta_n"), rows, args.format, args.out, meta={"method": args.method})
     return 0
 
 
@@ -139,7 +138,6 @@ def cmd_hankel_det(args) -> int:
     params = _params(args)
     ctx = NumericContext(digits=args.digits)
     data = hankel.h_sequence(params, args.n, ctx, max_digits=_max_digits())
-    from mpmath import log
     rows = []
     with mp.workdps(data.digits_used):
         running = mp.zero
@@ -168,13 +166,12 @@ def cmd_poly_ode(args) -> int:
 def cmd_logdet(args) -> int:
     params = _params(args)
     ctx = NumericContext(digits=args.digits)
-    rows: list = []
     if args.quantity == "dlogds":
-        for n in range(1, args.n_max + 1):
-            value = detasympt.logdet_derivative_exact(n, params, ctx)
-            rows.append((n, _decimal(value, args.digits)))
+        rows = [(n, _decimal(detasympt.logdet_derivative_exact(n, params, ctx), args.digits))
+                for n in range(1, args.n_max + 1)]
         _emit(("n", "dlogD_ds"), rows, args.format, args.out)
     else:
+        rows = []
         for n in range(1, args.n_max + 1):
             exp_data = detasympt.logdet_expansion(args.quantity, n, args.r,
                                                   args.alpha, ctx=ctx)
@@ -187,8 +184,6 @@ def cmd_logdet(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     params = _params(args)
-    if params.is_gaussian:
-        raise DomainError("sensitivity runs need s > 0")
     ctx = NumericContext(digits=args.digits)
     epsilons = [e.strip() for e in args.epsilons.split(",") if e.strip()]
     rows = []
@@ -204,12 +199,7 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, digits=args.digits)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(report.to_json() + "\n", args.out)
     return 0 if report.all_passed else 1
 
 
@@ -218,26 +208,20 @@ def cmd_sweep(args) -> int:
     n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not n_list:
         raise DomainError("empty n list")
-    steps = args.steps
-    if steps < 1:
+    if args.steps < 1:
         raise DomainError("need at least one grid point")
     # exact rational grid points, so that --s-to 1 really ends on s = 1
     s_from, s_to = to_fraction(args.s_from), to_fraction(args.s_to)
     with mp.workdps(args.digits):
         rows = []
-        for i in range(steps):
-            sv = s_from + (s_to - s_from) * i / max(steps - 1, 1)
+        for i in range(args.steps):
+            sv = s_from + (s_to - s_from) * i / max(args.steps - 1, 1)
             params = WeightParams(sv, args.alpha, args.N)
-            if params.is_gaussian:
-                values = {n: recurrence.beta_at_s0(n, params.alpha, params.big_n)
-                          for n in n_list}
-                values = {n: fraction_to_mpf(v) for n, v in values.items()}
-            elif args.method == "hankel":
-                seq = hankel.beta_from_moments(params, max(n_list), ctx,
-                                               max_digits=_max_digits())
-                values = {n: seq[n] for n in n_list}
+            if params.is_gaussian:      # the closed form: largen has no value at s = 0
+                values = {n: fraction_to_mpf(recurrence.beta_at_s0(
+                    n, params.alpha, params.big_n)) for n in n_list}
             else:
-                values = {n: asymptotics.beta_large_n(n, params, ctx) for n in n_list}
+                values = _betas(args.method, params, n_list, ctx)
             for n in n_list:
                 rows.append((_decimal(sv, args.digits), n, _decimal(values[n], args.digits)))
     _emit(("s", "n", "beta_n"), rows, args.format, args.out)

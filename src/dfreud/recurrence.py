@@ -15,8 +15,9 @@ and a second-order nonlinear ODE in s whose parity constants are
     q_n = n^2        (n even)  | (n + alpha)^2 (n odd).
 
 At s = 0 everything degenerates to the generalized Hermite closed form
-beta_n = (n + alpha Delta_n)/(2N); every s-equation here carries 1/s factors,
-so s = 0 is always special-cased to that closed form.
+beta_n = (n + alpha Delta_n)/(2N) (``beta_at_s0``), which ``beta1_initial`` meets
+through the Gaussian mu_0; the s-equations carry 1/s factors and raise DomainError
+there, and ``dpi_residual`` checks the s-multiplied form instead.
 
 Forward iteration of the dP_I is exponentially unstable: only the initial
 value beta_1 = mu_2/mu_0 continues to a positive solution, and any
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf, mpmathify, isfinite, fsum, sqrt
 
-from .numerics import NumericContext, DomainError, _DEFAULT_CTX
+from .numerics import NumericContext, DomainError, to_fraction, _DEFAULT_CTX
 from .moments import WeightParams, mu0
 from .hankel import BetaSequence, beta_from_moments
 
@@ -63,9 +64,6 @@ def beta_at_s0(n: int, alpha, big_n) -> Fraction:
     """Exact closed form at s = 0: beta_n = (n + alpha Delta_n)/(2N), beta_0 = 0."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n == 0:
-        return Fraction(0)
-    from .numerics import to_fraction
     a, N = to_fraction(alpha), to_fraction(big_n)
     return (n + a * delta_parity(n)) / (2 * N)
 
@@ -73,9 +71,6 @@ def beta_at_s0(n: int, alpha, big_n) -> Fraction:
 def beta1_initial(params: WeightParams, ctx: NumericContext) -> mpf:
     """The unique admissible initial value beta_1 = mu_2/mu_0."""
     with mp.workdps(ctx.digits + 10):
-        if params.is_gaussian:
-            _, a, N = params.mpfs()
-            return (a + 1) / (2 * N)
         return mu0(params.shifted(2), ctx) / mu0(params, ctx)
 
 

@@ -116,12 +116,13 @@ def criterion_1(digits: int = 120) -> list[Check]:
         checks.append(Check.build(
             "1.gauss-closure",
             "max |beta_n(0) - (n+alpha Delta)/(2N)|, n<=20, alpha in {0,1,2.5}, N in {1,3}",
-            worst, mpf(10) ** -100))
+            worst, mpf(10) ** -(digits - 20)))
     return checks
 
 
-def criterion_2(digits: int = 150, n_max: int = 30) -> list[Check]:
+def criterion_2(digits: int = 150) -> list[Check]:
     """Cross-route: Hankel vs dP_I relative difference below 1e-50."""
+    n_max = 30
     ctx = NumericContext(digits=digits)
     checks = []
     with mp.workdps(digits + 20):
@@ -221,8 +222,9 @@ _SUITE_BETA_POINTS = [
 ]
 
 
-def criterion_5(digits: int = 60, n_max: int = 30) -> list[Check]:
+def criterion_5(digits: int = 60) -> list[Check]:
     """beta_n stays below the closed-form bound on every suite parameter point."""
+    n_max = 30
     ctx = NumericContext(digits=digits)
     with mp.workdps(digits + 20):
         worst = mpf("-inf")
@@ -258,8 +260,9 @@ def criterion_6(digits: int = 60) -> list[Check]:
     return checks
 
 
-def criterion_7(digits: int = 100, n_max: int = 15) -> list[Check]:
+def criterion_7(digits: int = 100) -> list[Check]:
     """Ladder, compatibility and z-ODE residuals, all relative, n <= 15."""
+    n_max = 15
     ctx = NumericContext(digits=digits)
     params = WeightParams("0.5", "2", 1)
     zgrid = ("-0.3", "0.3", "-1.1", "1.1", "2.7")
@@ -274,8 +277,9 @@ def criterion_7(digits: int = 100, n_max: int = 15) -> list[Check]:
                 for key, val in worst.items()]
 
 
-def criterion_8(digits: int = 80, n_max: int = 8) -> list[Check]:
+def criterion_8(digits: int = 80) -> list[Check]:
     """Normalized inner products within 1e-30 of the identity, from quadrature moments."""
+    n_max = 8
     ctx = NumericContext(digits=digits)
     params = WeightParams("0.5", "0.5", 1)
     with mp.workdps(digits + 20):
@@ -365,8 +369,9 @@ def criterion_11(digits: int = 60) -> list[Check]:
     return checks
 
 
-def criterion_12(digits: int = 500, n_max: int = 100) -> list[Check]:
+def criterion_12(digits: int = 500) -> list[Check]:
     """Sensitivity of the dP_I to its initial value at (s=1/2, alpha=3, N=1)."""
+    n_max = 100
     params = WeightParams("0.5", "3", 1)
     ctx = NumericContext(digits=digits)
     checks = []
@@ -424,10 +429,6 @@ SUITES: dict[str, tuple[Callable, ...]] = {
 }
 SUITES["all"] = tuple(fn for suite in ("dpi", "ode", "poly", "logdet", "asympt")
                       for fn in SUITES[suite])
-
-ACCEPTANCE = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-              criterion_11, criterion_12)
 
 
 def run_suite(suite: str, digits: Optional[int] = None) -> VerificationReport:

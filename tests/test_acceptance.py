@@ -24,6 +24,13 @@ def test_criterion_01_gaussian_closure():
     _run(V.criterion_1, "1")
 
 
+def test_criterion_01_threshold_follows_precision():
+    """The closure threshold is 10^-(digits - 20): 1e-100 at the default 120
+    digits, and a 60-digit run (which measures about 1e-81) passes."""
+    assert V.criterion_1()[0].threshold == "1.0e-100"
+    assert all(check.passed for check in V.criterion_1(digits=60))
+
+
 def test_criterion_02_cross_route_agreement():
     """Hankel vs dP_I relative difference < 1e-50 for n <= 30 at 150 digits."""
     _run(V.criterion_2, "2")

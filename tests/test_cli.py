@@ -14,11 +14,16 @@ def run_cli(capsys, *argv):
 
 
 class TestBeta:
-    def test_hankel_gaussian_halves(self, capsys):
-        # s=0, alpha=0, N=1: rows n, n/2
+    def test_hankel_gaussian_halves(self, capsys, monkeypatch):
+        # s=0, alpha=0, N=1: rows n, n/2, from the Hankel route itself
+        import dfreud.hankel as hankel
+        route, calls = hankel.beta_from_moments, []
+        monkeypatch.setattr(hankel, "beta_from_moments",
+                            lambda *a, **k: calls.append(a[1]) or route(*a, **k))
         code, out, _ = run_cli(capsys, "beta", "--method", "hankel", "--s", "0",
                                "--alpha", "0", "--N", "1", "--n-max", "5")
         assert code == 0
+        assert calls == [5]
         lines = out.strip().splitlines()
         assert lines[0] == "n,beta_n"
         values = [mpmathify(line.split(",")[1]) for line in lines[1:]]
@@ -26,10 +31,12 @@ class TestBeta:
             for n, v in enumerate(values):
                 assert abs(v - mpf(n) / 2) < mpf(10) ** -30
 
-    def test_dpi_at_s0_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "beta", "--method", "dpi", "--s", "0")
+    @pytest.mark.parametrize("method", ["dpi", "largen", "double"])
+    def test_dpi_at_s0_is_usage_error(self, capsys, method):
+        # each route raises its own DomainError at s = 0
+        code, _, err = run_cli(capsys, "beta", "--method", method, "--s", "0")
         assert code == 2
-        assert "error" in err
+        assert "error:" in err
 
     def test_largen_lew_quarles_row(self, capsys):
         code, out, _ = run_cli(capsys, "beta", "--method", "largen", "--s", "1",
@@ -169,6 +176,15 @@ class TestSweep:
     def test_empty_n_list(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n-list", "")
         assert code == 2
+
+    def test_largen_prints_zero_at_n0(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--method", "largen", "--n-list", "0,3",
+                               "--s-from", "0.5", "--steps", "2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(mpmathify(beta) == 0 for _, n, beta in rows if n == "0")
+        assert all(mpmathify(beta) > 0 for _, n, beta in rows if n == "3")
 
 
 class TestVerify:

@@ -20,6 +20,9 @@ recurrence cancelled about 27 digits) were captured before the closed-form
 table ran its recurrence downward from the top two moments.
 ``beta_double_small_s`` (s = 0.01) was captured before the double-scaling a0,
 a0' and a0'' came from one cancellation-free root of the fluid quadratic.
+``beta_hankel_s0`` (s = 0, alpha = 5/2, N = 3) was captured while ``beta --method
+hankel`` still printed the exact closed form at s = 0 instead of running the
+Hankel route there.
 """
 from pathlib import Path
 
@@ -31,6 +34,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "beta_hankel": (("beta", "--method", "hankel"), 0),
+    "beta_hankel_s0": (("beta", "--method", "hankel", "--s", "0", "--alpha", "5/2",
+                        "--N", "3", "--n-max", "30"), 0),
     "beta_dpi": (("beta", "--method", "dpi"), 0),
     "beta_smalls": (("beta", "--method", "smalls"), 0),
     "beta_largen": (("beta", "--method", "largen"), 0),
