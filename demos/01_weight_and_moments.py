@@ -8,8 +8,7 @@ closed form.  This demo prints the two side by side.
 """
 from mpmath import mp, nstr
 
-from dfreud import (NumericContext, WeightParams, mu0_quadrature,
-                    mu0_closed_form, moment_table)
+from dfreud import NumericContext, WeightParams, mu0, moment_table
 
 ctx = NumericContext(digits=50)
 
@@ -17,8 +16,8 @@ print("mu_0 by quadrature vs closed form (50 digits requested)\n")
 for s, a, N in [("0.1", "-0.5", 4), ("0.5", "1", 2), ("1", "0", 1)]:
     params = WeightParams(s, a, N)
     with mp.workdps(60):
-        q = mu0_quadrature(params, ctx)
-        c = mu0_closed_form(params, ctx)
+        q = moment_table(params, 0, ctx, source="quadrature").mu(0)
+        c = mu0(params, ctx)
         print(f"  s={s:>4}  alpha={a:>4}  N={N}:")
         print(f"    quadrature  {nstr(q, 40)}")
         print(f"    closed form {nstr(c, 40)}")

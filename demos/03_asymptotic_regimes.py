@@ -10,8 +10,7 @@ ratio of the errors reveals the order of the first neglected term:
 from mpmath import mp, mpf, nstr, sqrt
 
 from dfreud import (NumericContext, WeightParams, beta_from_moments,
-                    beta_small_s, beta_large_n, beta_double_scaling,
-                    coulomb_b_squared, fluid_endpoint)
+                    beta_small_s, beta_large_n, beta_double_scaling, fluid_endpoint)
 
 ctx = NumericContext(digits=120)
 

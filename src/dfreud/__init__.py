@@ -19,19 +19,17 @@ an explicit NumericContext; nothing mutates global precision.
 from .numerics import (NumericContext, DomainError, IntegrationError,
                        PrecisionExhaustedError, PoleError, barnes_g_log,
                        exp_exp_moments, central_difference)
-from .moments import (WeightParams, MomentTable, mu0_quadrature, mu0_closed_form,
-                      mu0_gaussian, mu0, parabolic_cylinder_D, moment_table)
+from .moments import (WeightParams, MomentTable, mu0, parabolic_cylinder_D,
+                      moment_table)
 from .hankel import (HankelData, BetaSequence, h_sequence, beta_from_moments,
                      logdet, mehta_normand_logD0)
-from .recurrence import (ParityData, SensitivityRun, beta_at_s0,
-                         beta1_initial, dpi_forward, dpi_residual, beta_prime,
-                         beta_second, ode25_residual, upper_bound, sensitivity_run,
-                         delta_parity)
+from .recurrence import (SensitivityRun, beta_at_s0, beta1_initial, dpi_forward,
+                         dpi_residual, beta_prime, beta_second, ode25_residual,
+                         upper_bound, sensitivity_run, delta_parity)
 from .asymptotics import (SmallSCoefficients, LargeNCoefficients, DoubleScalingData,
                           FluidEndpoint, small_s_coefficients, beta_small_s,
                           large_n_coefficients, beta_large_n, double_scaling_data,
-                          double_scaling_coefficients, g_and_g_tilde,
-                          beta_double_scaling, coulomb_b_squared, mrs_number,
+                          double_scaling_coefficients, beta_double_scaling,
                           fluid_endpoint)
 from .polynomials import (MonicPolynomial, LadderPair, OdeCoefficients,
                           HeunParameters, build_polynomials, eval_poly,

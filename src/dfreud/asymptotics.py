@@ -27,15 +27,14 @@ its predicted remainder order:
    second-order ODE, written once in ``recurrence`` next to
    ``ode25_residual``; the Hankel data confirms a2 at the O(N^{-3}) rate.
 
-The fluid endpoint b^2 (support edge of the equilibrium density) and the
-Mhaskar-Rakhmanov-Saff number a_mu share one quadratic-in-the-square
-normalisation (3/2) N s a^4 + N (1-s) a^2 = mu; the endpoint for n particles
-corresponds to mu = 2n + alpha, and beta_n / a_mu^2 -> 1/4.  This is the
-reduction of the dP_I that gives a0: with beta_{n+-1} = beta_n it reads
-12 N s x^2 + 2 N (1-s) x = n + alpha Delta_n, whose root is a0 to leading
-order at r = n/N, and is exactly b^2/4 at n + alpha/2.  One root,
-``recurrence._positive_root``, serves both reductions (the upper bound drops
-beta_{n+-1} instead) and is free of cancellation as s -> 0.
+``fluid_endpoint`` gives the support edge b^2 of the equilibrium density for
+n particles and the Mhaskar-Rakhmanov-Saff number a_mu = sqrt(b^2), the
+positive root a of (3/2) N s a^4 + N (1-s) a^2 = mu at mu = 2n + alpha, so
+that beta_n / a_mu^2 -> 1/4.  This is the reduction of the dP_I that gives
+a0: with beta_{n+-1} = beta_n it reads 12 N s x^2 + 2 N (1-s) x = n + alpha Delta_n,
+whose root is a0 to leading order at r = n/N, and is exactly b^2/4 at
+n + alpha/2.  One root, ``recurrence._positive_root``, serves both reductions
+(the upper bound drops beta_{n+-1} instead) and is free of cancellation as s -> 0.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from mpmath import mp, mpf, mpmathify, sqrt
 
 from .numerics import NumericContext, DomainError, fraction_to_mpf, _DEFAULT_CTX
 from .moments import WeightParams
-from .recurrence import (ParityData, _laurent, _ode_slices, _ode_beta_prime_term,
+from .recurrence import (delta_parity, _laurent, _ode_slices, _ode_beta_prime_term,
                          _positive_root)
 
 # ---------------------------------------------------------------------------
@@ -76,13 +75,12 @@ def small_s_coefficients(n: int, params: WeightParams,
       c3 = (2N^3 + 60N - 100p - 12N^2 p + 15N p^2 - 5p^3 - 224Q - 24N^2 Q
             + 80NpQ - 48p^2 Q + 85NQ^2 - 125pQ^2 - 92Q^3) / (2N^3),
 
-    with Q = sqrt(q_n) = n + alpha Delta_n.
+    with p = p_n = n + alpha (2 - 3 Delta_n) and Q = sqrt(q_n) = n + alpha Delta_n.
     """
     with mp.workdps(ctx.digits + 10):
-        par = ParityData.for_index(n, params.alpha)
-        N = fraction_to_mpf(params.big_n)
-        p = fraction_to_mpf(par.p_n)
-        Q = fraction_to_mpf(params.alpha) * par.delta_n + n  # sqrt(q_n) exactly
+        _, a, N = params.mpfs()
+        dn = delta_parity(n)
+        p, Q = n + a * (2 - 3 * dn), n + a * dn
         c1 = (N - p - 2 * Q) / N
         c2 = (2 * N ** 2 - 12 * N * Q - 6 * N * p + 17 * Q ** 2 + 16 * Q * p
               + 3 * p ** 2 + 12) / (2 * N ** 2)
@@ -262,16 +260,6 @@ class DoubleScalingData:
     a2: mpf
 
 
-def g_and_g_tilde(s, r) -> tuple:
-    """g(s) = sqrt(1 - 2s + 12rs + s^2) and g~(s) = s - 1 + g(s) at n = r N.
-
-    Both come from the fluid root a0 of 6 s a0^2 + (1-s) a0 = r/2, as
-    g~ = 12 s a0 and g = 1 - s + g~, so nothing cancels as s -> 0.
-    """
-    gt = 12 * s * _positive_root(6 * s, 1 - s, r / 2)
-    return 1 - s + gt, gt
-
-
 def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
     """a0, a1, a2 for beta_n = a0 + a1/N + a2/N^2 + O(N^{-3}) at n = r N.
 
@@ -331,7 +319,7 @@ def beta_double_scaling(n: int, big_n, s, alpha,
 
 
 # ---------------------------------------------------------------------------
-# Coulomb-fluid endpoint and MRS number
+# Coulomb-fluid endpoint
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -347,32 +335,14 @@ class FluidEndpoint:
     a_mu: mpf
 
 
-def coulomb_b_squared(n: int, params: WeightParams,
-                      ctx: NumericContext = _DEFAULT_CTX) -> mpf:
-    """b^2 = [s - 1 + sqrt((1-s)^2 + 6 s (2n+alpha)/N)]/(3s): the squared MRS
-    number at mu = 2n + alpha, taken as the positive root of
-    (3/2) N s x^2 + N (1-s) x = mu (``recurrence._positive_root``), which
-    keeps every digit as s -> 0 and is (2n + alpha)/N at s = 0."""
-    with mp.workdps(ctx.digits + 10):
-        s, a, N = params.mpfs()
-        return _positive_root(3 * N * s / 2, N * (1 - s), 2 * n + a)
-
-
-def mrs_number(mu, params: WeightParams,
-               ctx: NumericContext = _DEFAULT_CTX) -> mpf:
-    """Unique positive root a of (3/2) N s a^4 + N (1-s) a^2 = mu."""
-    with mp.workdps(ctx.digits + 10):
-        mu = mpmathify(mu)
-        if mu <= 0:
-            raise DomainError("mu must be positive")
-        s, _, N = params.mpfs()
-        return sqrt(_positive_root(3 * N * s / 2, N * (1 - s), mu))
-
-
 def fluid_endpoint(n: int, params: WeightParams,
                    ctx: NumericContext = _DEFAULT_CTX) -> FluidEndpoint:
-    """b^2 and the MRS number a_mu = sqrt(b^2) at the particle-number
-    normalisation mu = 2n + alpha."""
-    b_squared = coulomb_b_squared(n, params, ctx)
+    """b^2 = [s - 1 + sqrt((1-s)^2 + 6 s mu/N)]/(3s) at mu = 2n + alpha, taken as
+    the positive root of (3/2) N s x^2 + N (1-s) x = mu (``recurrence._positive_root``),
+    which keeps every digit as s -> 0 and is mu/N at s = 0; a_mu = sqrt(b^2)."""
+    if 2 * n + params.alpha <= 0:
+        raise DomainError(f"mu = 2n + alpha must be positive, got {2 * n + params.alpha}")
     with mp.workdps(ctx.digits + 10):
+        s, a, N = params.mpfs()
+        b_squared = _positive_root(3 * N * s / 2, N * (1 - s), 2 * n + a)
         return FluidEndpoint(n=n, b_squared=b_squared, a_mu=sqrt(b_squared))

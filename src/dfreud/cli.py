@@ -11,23 +11,25 @@ sensitivity  perturbed dP_I trajectories (plot-ready long format)
 verify       run a named verification suite, emit a JSON report
 sweep        beta_n over an s-grid (plot-ready)
 
-beta and sweep share one route table, ``_betas``: hankel and dpi run once to the
-largest n (dpi pads with nan past a cone exit), the expansions run at each listed
-n, and beta_0 = 0.  The routes own s = 0: hankel and smalls give the closed form,
-dpi, largen, double and sensitivity exit 2, and sweep prints it for either method.
+beta and sweep share one route table, ``_betas``: it rejects a negative n before
+any route runs, hankel and dpi run once to the largest n (dpi pads with nan past
+a cone exit), the expansions run at each listed n, and beta_0 = 0 on every route,
+with no route called when 0 is the only n.  The routes own s = 0: hankel and
+smalls give the closed form, dpi, largen, double and sensitivity exit 2, and
+sweep prints it for either method.
 
 Shared flags: --s --alpha --N --digits --format csv|json --out PATH.
 Values are emitted as decimal strings carrying min(digits, 50) significant
 digits (poly-ode's round-off residuals: 3); CSV always starts with a header row.
 Exit codes: 0 success / all checks passed, 1 check failure, 2 usage or I/O
-error.  The environment variable DFREUD_MAX_DIGITS caps precision escalation
-(default 2000); a value that is not an integer >= 30 is a usage error.
+error.  The environment variable DFREUD_MAX_DIGITS caps the precision escalation
+of every Hankel computation (``hankel.h_sequence``, default 2000), verify and
+logdet included; a value that is not an integer >= 30 is a usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -37,16 +39,6 @@ from .numerics import NumericContext, DomainError, to_fraction, fraction_to_mpf
 from .moments import WeightParams, moment_table
 from . import hankel, recurrence, asymptotics, polynomials, detasympt
 from .verification import run_suite, SUITES
-
-
-def _max_digits() -> int:
-    value = os.environ.get("DFREUD_MAX_DIGITS", "2000")
-    try:
-        if int(value) >= 30:  # the smallest precision NumericContext accepts
-            return int(value)
-    except ValueError:
-        pass
-    raise DomainError(f"DFREUD_MAX_DIGITS must be an integer >= 30, got {value!r}")
 
 
 def _decimal(x, digits: int) -> str:
@@ -109,10 +101,14 @@ def cmd_moments(args) -> int:
 def _betas(method: str, params: WeightParams, ns: Sequence[int],
            ctx: NumericContext) -> dict:
     """{n: beta_n} for n in ns by ``method``, as the module docstring sets out."""
+    if min(ns, default=-1) < 0:
+        raise DomainError("need at least one n, and every n >= 0")
+    if max(ns) == 0:
+        return dict.fromkeys(ns, mp.zero)
     if method in ("hankel", "dpi"):
-        top = max(ns, default=0)
+        top = max(ns)
         if method == "hankel":
-            seq = hankel.beta_from_moments(params, top, ctx, max_digits=_max_digits())
+            seq = hankel.beta_from_moments(params, top, ctx)
         else:
             seq = recurrence.dpi_forward(params, recurrence.beta1_initial(params, ctx),
                                          top, ctx)
@@ -137,7 +133,7 @@ def cmd_beta(args) -> int:
 def cmd_hankel_det(args) -> int:
     params = _params(args)
     ctx = NumericContext(digits=args.digits)
-    data = hankel.h_sequence(params, args.n, ctx, max_digits=_max_digits())
+    data = hankel.h_sequence(params, args.n, ctx)
     rows = []
     with mp.workdps(data.digits_used):
         running = mp.zero
@@ -153,8 +149,7 @@ def cmd_poly_ode(args) -> int:
     params = _params(args)
     ctx = NumericContext(digits=args.digits)
     zgrid = [z.strip() for z in args.z_grid.split(",") if z.strip()]
-    betas = hankel.beta_from_moments(params, args.n_max + 2, ctx,
-                                     max_digits=_max_digits())
+    betas = hankel.beta_from_moments(params, args.n_max + 2, ctx)
     rows = [(n, zs, *(_decimal(r, 3) for r in
                       polynomials.identity_residuals(n, zs, params, betas, ctx).values()))
             for n in range(1, args.n_max + 1) for zs in zgrid]

@@ -13,7 +13,9 @@ sigma_k(l) = sigma_{k-1}(l+1) - beta_{k-1} sigma_{k-2}(l) with sigma_{-1} = 0.
 The map from moments to pivots is exponentially ill-conditioned, so pivots are
 computed at an elevated working precision and verified by recomputing with
 extra guard digits; on a non-positive pivot or on disagreement between the two
-runs the precision is doubled, up to a hard cap (default 2000 digits).
+runs the precision is doubled, up to a hard cap: the environment variable
+DFREUD_MAX_DIGITS (default 2000), read at every ``h_sequence`` call, so it caps
+every Hankel computation in the package.
 
 ``mehta_normand_logD0`` is the exact closed form of log D_n(0) (a product of
 Gamma factors, valid for every n), used as the finite-n anchor for the
@@ -21,6 +23,7 @@ determinant asymptotics.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -28,8 +31,6 @@ from mpmath import mp, mpf, mpmathify, log, pi, loggamma, fsum
 
 from .numerics import NumericContext, PrecisionExhaustedError, DomainError
 from .moments import WeightParams, moment_table
-
-DEFAULT_MAX_DIGITS = 2000
 
 Route = Literal["hankel", "dpi"]
 
@@ -87,16 +88,27 @@ def _pivots(mus, n: int):
     return h, None
 
 
-def h_sequence(params: WeightParams, n: int, ctx: NumericContext,
-               max_digits: int = DEFAULT_MAX_DIGITS) -> HankelData:
+def _max_digits() -> int:
+    value = os.environ.get("DFREUD_MAX_DIGITS", "2000")
+    try:
+        if int(value) >= 30:  # the smallest precision NumericContext accepts
+            return int(value)
+    except ValueError:
+        pass
+    raise DomainError(f"DFREUD_MAX_DIGITS must be an integer >= 30, got {value!r}")
+
+
+def h_sequence(params: WeightParams, n: int, ctx: NumericContext) -> HankelData:
     """h_0..h_{n-1} as verified pivots of the n x n moment matrix.
 
     Working precision starts at ctx.digits plus a conditioning guard and the
     result is accepted only when a recomputation with 40 further digits agrees
-    to 10**(-digits) on every pivot; otherwise the precision doubles.
+    to 10**(-digits) on every pivot; otherwise the precision doubles, and past
+    the DFREUD_MAX_DIGITS cap it raises ``PrecisionExhaustedError``.
     """
     if n < 1:
         raise DomainError("Hankel order must be >= 1")
+    max_digits = _max_digits()
     work = ctx.digits + 20 + 2 * n
     while True:
         if work > max_digits:
@@ -125,12 +137,11 @@ def _attempt_pivots(params: WeightParams, n: int, work: int):
         return None if fail is not None else [+x for x in h]
 
 
-def beta_from_moments(params: WeightParams, n_max: int, ctx: NumericContext,
-                      max_digits: int = DEFAULT_MAX_DIGITS) -> BetaSequence:
+def beta_from_moments(params: WeightParams, n_max: int, ctx: NumericContext) -> BetaSequence:
     """beta_0..beta_{n_max} from Hankel pivots: beta_j = h_j / h_{j-1}, beta_0 = 0."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    data = h_sequence(params, n_max + 1, ctx, max_digits=max_digits)
+    data = h_sequence(params, n_max + 1, ctx)
     with mp.workdps(data.digits_used):
         betas = [mp.zero] + [data.h[j] / data.h[j - 1] for j in range(1, n_max + 1)]
     return BetaSequence(params=params, route="hankel", betas=tuple(betas),

@@ -5,17 +5,16 @@ the zeroth moment at a shifted exponent:
 
     mu_{2k}(s; a, N) = mu_0(s; a + 2k, N),      mu_{2k+1} = 0.
 
-mu_0 itself is computed two independent ways and cross-checked in the tests:
+``mu0`` is the one entry point for mu_0.  For s > 0 it is the parabolic-cylinder
+closed form
 
-* ``mu0_quadrature``  -- exp-exp quadrature (Takahasi & Mori 1974) of the integral
-  int_0^inf y^((a-1)/2) exp(-N [y + s (y^2 - y)]) dy  (y = x^2 absorbs |x|^a).
-* ``mu0_closed_form`` -- the parabolic-cylinder closed form
+    (2 N s)^(-(a+1)/4) Gamma((a+1)/2) exp(N (1-s)^2 / (8 s))
+        * D_{-(a+1)/2}( N (1-s) / sqrt(2 N s) ),
 
-      (2 N s)^(-(a+1)/4) Gamma((a+1)/2) exp(N (1-s)^2 / (8 s))
-          * D_{-(a+1)/2}( N (1-s) / sqrt(2 N s) ),
-
-  valid for s > 0; at s = 0 the weight is generalized Gaussian and
-  mu_0 = N^(-(a+1)/2) Gamma((a+1)/2) instead (``mu0_gaussian``).
+and at s = 0, where the weight is generalized Gaussian, it is
+N^(-(a+1)/2) Gamma((a+1)/2).  The independent check is exp-exp quadrature
+(Takahasi & Mori 1974) of int_0^inf y^((a-1)/2) exp(-N [y + s (y^2 - y)]) dy
+(y = x^2 absorbs |x|^a): ``moment_table(..., source="quadrature")``.
 
 ``moment_table`` takes its top two entries mu_{2K} and mu_{2K-2} from ``mu0``
 and fills the rest downward with the recurrence from integrating
@@ -24,7 +23,7 @@ For 0 <= s <= 1 every term on the right is non-negative, so downward the moments
 are the dominant solution (Gautschi, SIAM Rev. 9, 1967) and no step cancels: the
 table keeps the seeds' digits less a few ulps per step, with no guard to predict.
 ``source="quadrature"`` takes every even entry from one exp-exp rule (y^k more in
-the integral above) as the independent check.  Odd entries are exact zeros.
+the integral above).  Odd entries are exact zeros.
 """
 from __future__ import annotations
 
@@ -97,11 +96,6 @@ class MomentTable:
         return self.values[j]
 
 
-def mu0_quadrature(params: WeightParams, ctx: NumericContext) -> mpf:
-    """mu_0 by exp-exp quadrature: the one-entry quadrature moment table."""
-    return moment_table(params, 0, ctx, source="quadrature").mu(0)
-
-
 def parabolic_cylinder_D(nu, z, ctx: NumericContext) -> mpf:
     """Parabolic cylinder function D_nu(z) for nu < 0.
 
@@ -120,30 +114,17 @@ def parabolic_cylinder_D(nu, z, ctx: NumericContext) -> mpf:
         return +pcfd(nu, z)
 
 
-def mu0_gaussian(alpha, big_n, ctx: NumericContext) -> mpf:
-    """mu_0 at s = 0: N^(-(a+1)/2) Gamma((a+1)/2)."""
-    with mp.workdps(ctx.digits + 10):
-        a, n = mpmathify(alpha), mpmathify(big_n)
-        return n ** (-(a + 1) / 2) * gamma((a + 1) / 2)
-
-
-def mu0_closed_form(params: WeightParams, ctx: NumericContext) -> mpf:
-    """mu_0 via the parabolic-cylinder closed form; requires s > 0 strictly."""
-    if params.is_gaussian:
-        raise DomainError("closed form has 1/s; use mu0_gaussian at s = 0")
+def mu0(params: WeightParams, ctx: NumericContext) -> mpf:
+    """mu_0: the generalized Gaussian form at s = 0, else the parabolic-cylinder
+    closed form (module docstring), both at ctx.digits + 10."""
     with mp.workdps(ctx.digits + 10):
         s, a, n = params.mpfs()
+        if s == 0:
+            return n ** (-(a + 1) / 2) * gamma((a + 1) / 2)
         z = n * (1 - s) / sqrt(2 * n * s)
         return ((2 * n * s) ** (-(a + 1) / 4) * gamma((a + 1) / 2)
                 * exp(n * (1 - s) ** 2 / (8 * s))
                 * parabolic_cylinder_D(-(a + 1) / 2, z, ctx))
-
-
-def mu0(params: WeightParams, ctx: NumericContext) -> mpf:
-    """mu_0 by the fastest reliable route (Gaussian form at s=0, else closed form)."""
-    if params.is_gaussian:
-        return mu0_gaussian(fraction_to_mpf(params.alpha), fraction_to_mpf(params.big_n), ctx)
-    return mu0_closed_form(params, ctx)
 
 
 def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list:

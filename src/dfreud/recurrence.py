@@ -44,22 +44,6 @@ def delta_parity(n: int) -> int:
     return n % 2
 
 
-@dataclass(frozen=True)
-class ParityData:
-    """Parity constants entering the dP_I, the second-order ODE and small-s series."""
-
-    n: int
-    delta_n: int
-    p_n: Fraction
-    q_n: Fraction
-
-    @classmethod
-    def for_index(cls, n: int, alpha: Fraction) -> "ParityData":
-        if n % 2 == 0:
-            return cls(n=n, delta_n=0, p_n=n + 2 * alpha, q_n=Fraction(n * n))
-        return cls(n=n, delta_n=1, p_n=n - alpha, q_n=(n + alpha) ** 2)
-
-
 def beta_at_s0(n: int, alpha, big_n) -> Fraction:
     """Exact closed form at s = 0: beta_n = (n + alpha Delta_n)/(2N), beta_0 = 0."""
     if n < 0:

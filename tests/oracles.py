@@ -30,7 +30,6 @@ from mpmath import (mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, poly
 
 from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
                     ladder_pair, mu0)
-from dfreud.asymptotics import g_and_g_tilde
 
 
 def ldlt_pivots(mus, n: int):
@@ -188,7 +187,10 @@ def beta_large_n_fsum(n: int, params, pairs):
 def d_coefficient_transcribed(s, r, alpha, parity: str):
     """D(s) from the explicit polynomial/surd forms per parity, at the caller's
     working precision; the odd form divides by f(s)^2, f(s) = 1 - 2s - 4rs + s^2."""
-    g, gt = g_and_g_tilde(s, r)
+    # g~ = 12 s a0 from the fluid root a0 of 6 s a0^2 + (1-s) a0 = r/2, formed as
+    # r/((1-s) + sqrt((1-s)^2 + 12 s r)) so that nothing cancels as s -> 0
+    gt = 12 * s * r / (1 - s + sqrt((1 - s) ** 2 + 12 * s * r))
+    g = 1 - s + gt
     if parity == "even":
         bracket = 1 + 2 * g - 2 * s * (1 - 6 * r + g) + s * s
         d0 = -(1 + s) * alpha / (g * gt * gt * bracket ** 3)

@@ -9,7 +9,7 @@ from dfreud import (NumericContext, WeightParams, DomainError,
                     beta_at_s0, beta_from_moments,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
                     beta_large_n, double_scaling_data, beta_double_scaling,
-                    coulomb_b_squared, mrs_number, fluid_endpoint)
+                    fluid_endpoint)
 
 
 class TestSmallS:
@@ -263,15 +263,15 @@ class TestFluid:
     def test_b_squared_example(self):
         # (n=3, s=1, N=1, alpha=0): positive root of the quartic normalisation is 2
         with mp.workdps(60):
-            got = coulomb_b_squared(3, WeightParams(1, 0, 1))
+            got = fluid_endpoint(3, WeightParams(1, 0, 1)).b_squared
             assert abs(got - 2) < mpf(10) ** -45
 
     def test_b_squared_s_to_zero(self):
         # the s -> 0 limit is (2n + alpha)/N; cross-check at s = 1e-8
         with mp.workdps(60):
-            lim = coulomb_b_squared(5, WeightParams(0, "1.5", 2))
+            lim = fluid_endpoint(5, WeightParams(0, "1.5", 2)).b_squared
             assert abs(lim - mpf("11.5") / 2) < mpf(10) ** -45
-            near = coulomb_b_squared(5, WeightParams("1e-8", "1.5", 2))
+            near = fluid_endpoint(5, WeightParams("1e-8", "1.5", 2)).b_squared
             assert abs(near - lim) < mpf("1e-6")
 
     def test_beta_close_to_quarter_endpoint(self):
@@ -279,25 +279,35 @@ class TestFluid:
         with mp.workdps(60):
             n = 200
             params = WeightParams("0.5", "1", n)
-            b2 = coulomb_b_squared(n, params)
+            b2 = fluid_endpoint(n, params).b_squared
             beta = beta_double_scaling(n, n, mpf("0.5"), mpf(1))
             assert abs(4 * beta / b2 - 1) < mpf("0.01")
 
     def test_mrs_example(self):
-        # mu = 3/2, s = 1, N = 1 -> a = 1
+        # mu = 2n + alpha = 3/2 (n = 0), s = 1, N = 1 -> a = 1
         with mp.workdps(60):
-            got = mrs_number(mpf("1.5"), WeightParams(1, 0, 1))
+            got = fluid_endpoint(0, WeightParams(1, "3/2", 1)).a_mu
             assert abs(got - 1) < mpf(10) ** -45
 
     def test_mrs_gaussian_degeneration(self):
+        # mu = 2n + alpha = 5 (n = 2, alpha = 1), s = 0, N = 2 -> a = sqrt(5/2)
         with mp.workdps(60):
-            got = mrs_number(5, WeightParams(0, 0, 2))
+            got = fluid_endpoint(2, WeightParams(0, 1, 2)).a_mu
             assert abs(got - sqrt(mpf("2.5"))) < mpf(10) ** -45
+
+    @pytest.mark.parametrize("n, alpha", [(0, "-1/2"), (0, 0), (-3, 1)])
+    def test_nonpositive_mu_rejected(self, n, alpha):
+        # b^2 and a_mu would be complex for mu = 2n + alpha <= 0
+        with pytest.raises(DomainError):
+            fluid_endpoint(n, WeightParams("1/2", alpha, 1))
 
     @pytest.mark.parametrize("s", ["1e-20", "1e-60"])
     @pytest.mark.parametrize("evaluate, mu, power", [
-        (lambda p, c: coulomb_b_squared(5, p, c), "11.5", 1),
-        (lambda p, c: mrs_number(7, p, c), "7", 2),
+        # mu = 11.5 again, split as n = 4, alpha = 7/2: only 2n + alpha enters
+        (lambda p, c: fluid_endpoint(4, WeightParams(p.s, "7/2", p.big_n), c).b_squared,
+         "11.5", 1),
+        # mu = 7 as n = 2, alpha = 3
+        (lambda p, c: fluid_endpoint(2, WeightParams(p.s, 3, p.big_n), c).a_mu, "7", 2),
         (lambda p, c: fluid_endpoint(5, p, c).b_squared, "11.5", 1),
         (lambda p, c: fluid_endpoint(5, p, c).a_mu, "11.5", 2),
     ], ids=["b_squared", "mrs", "endpoint_b_squared", "endpoint_a_mu"])

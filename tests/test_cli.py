@@ -38,6 +38,16 @@ class TestBeta:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("method", ["hankel", "dpi", "smalls", "largen", "double"])
+    def test_n_max_zero_calls_no_route(self, capsys, method):
+        # beta_0 = 0 on every route; double's default N = n-max = 0 is outside the domain
+        code, out, err = run_cli(capsys, "beta", "--method", method, "--n-max", "0")
+        if method == "double":
+            assert code == 2 and "N must be positive" in err
+        else:
+            assert code == 0
+            assert out == "n,beta_n\n0,0.0\n"
+
     def test_largen_lew_quarles_row(self, capsys):
         code, out, _ = run_cli(capsys, "beta", "--method", "largen", "--s", "1",
                                "--alpha", "0", "--N", "1", "--n-max", "10000",
@@ -177,6 +187,18 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--n-list", "")
         assert code == 2
 
+    @pytest.mark.parametrize("method, route", [("hankel", "hankel.beta_from_moments"),
+                                               ("largen", "asymptotics.beta_large_n")],
+                             ids=["hankel", "largen"])
+    def test_negative_n_rejected_before_any_route(self, capsys, monkeypatch, method, route):
+        # -1 used to read beta_3 through Python's negative index on the hankel route
+        calls = []
+        monkeypatch.setattr(f"dfreud.{route}", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, "sweep", "--method", method, "--n-list=3,-1",
+                                 "--steps", "1", "--s-from", "0.5")
+        assert code == 2 and out == "" and "n >= 0" in err
+        assert calls == []
+
     def test_largen_prints_zero_at_n0(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--method", "largen", "--n-list", "0,3",
                                "--s-from", "0.5", "--steps", "2")
@@ -239,6 +261,15 @@ class TestPrecisionCap:
                                "--digits", "60")
         assert code == 1
         assert "failed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("logdet", "--n-max", "3", "--digits", "30"),
+        ("verify", "--suite", "ode")], ids=["logdet", "verify"])
+    def test_cap_reaches_every_hankel_call(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("DFREUD_MAX_DIGITS", "40")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "needed more than 40 digits" in err and out == ""
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_invalid_cap_is_usage_error(self, capsys, monkeypatch, value):

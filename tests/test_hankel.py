@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, log, gamma
 
 from dfreud import (NumericContext, WeightParams, DomainError, h_sequence,
-                    beta_from_moments, mehta_normand_logD0, mu0_gaussian,
+                    beta_from_moments, mehta_normand_logD0, mu0,
                     beta_at_s0, beta1_initial, dpi_forward, moment_table)
 from conftest import assert_close
 from oracles import per_entry_table
@@ -12,9 +12,8 @@ class TestHSequence:
     def test_order_one_is_mu0(self, ctx60):
         params = WeightParams("0.5", "1", 2)
         data = h_sequence(params, 1, ctx60)
-        from dfreud import mu0_closed_form
         with mp.workdps(70):
-            assert abs(data.h[0] - mu0_closed_form(params, ctx60)) < mpf(10) ** -55
+            assert abs(data.h[0] - mu0(params, ctx60)) < mpf(10) ** -55
 
     def test_gaussian_d2(self, ctx60):
         # D_2(0) = mu_0 mu_2 - mu_1^2 = pi/2 at (alpha, N) = (0, 1)
@@ -41,11 +40,10 @@ class TestHSequence:
 class TestBetaFromMoments:
     def test_beta1_is_moment_ratio(self, ctx60):
         params = WeightParams("0.5", "1", 1)
-        from dfreud import mu0_closed_form
         seq = beta_from_moments(params, 1, ctx60)
         with mp.workdps(80):
-            ratio = (mu0_closed_form(params.shifted(2), ctx60)
-                     / mu0_closed_form(params, ctx60))
+            ratio = (mu0(params.shifted(2), ctx60)
+                     / mu0(params, ctx60))
             assert abs(seq[1] - ratio) < mpf(10) ** -50
 
     def test_hermite_halves(self, ctx60):
@@ -107,7 +105,7 @@ class TestMehtaNormand:
         with mp.workdps(80):
             for a, n in (("0", 1), ("1.5", 2)):
                 got = mehta_normand_logD0(1, mpmathify(a), mpmathify(n), ctx60)
-                want = log(mu0_gaussian(mpmathify(a), mpmathify(n), ctx60))
+                want = log(mu0(WeightParams(0, a, n), ctx60))
                 assert abs(got - want) < mpf(10) ** -55
 
     def test_n2_alpha0(self, ctx60):

@@ -1,9 +1,8 @@
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma
 
-from dfreud import (NumericContext, WeightParams, DomainError, mu0, mu0_quadrature,
-                    mu0_closed_form, mu0_gaussian, parabolic_cylinder_D, moment_table,
-                    exp_exp_moments, moments)
+from dfreud import (NumericContext, WeightParams, DomainError, mu0,
+                    parabolic_cylinder_D, moment_table, exp_exp_moments, moments)
 from conftest import assert_close
 from oracles import parabolic_cylinder_D_integral
 
@@ -24,14 +23,14 @@ class TestWeightParams:
 class TestMu0Quadrature:
     def test_gauss(self, ctx60):
         with mp.workdps(70):
-            val = mu0_quadrature(WeightParams(0, 0, 1), ctx60)
+            val = moment_table(WeightParams(0, 0, 1), 0, ctx60, source="quadrature").mu(0)
             assert_close(val, sqrt(pi), mpf(10) ** -48, dps=70)
 
     def test_gaussian_closed_form_any_alpha(self, ctx60):
         # s = 0: mu_0 = N^{-(a+1)/2} Gamma((a+1)/2)
         with mp.workdps(70):
             for a, n in (("0.5", 2), ("2.7", "0.5"), ("-0.5", 4)):
-                got = mu0_quadrature(WeightParams(0, a, n), ctx60)
+                got = moment_table(WeightParams(0, a, n), 0, ctx60, source="quadrature").mu(0)
                 av, nv = mpmathify(a), mpmathify(n)
                 want = nv ** (-(av + 1) / 2) * gamma((av + 1) / 2)
                 assert abs(got - want) / want < mpf(10) ** -48
@@ -41,7 +40,7 @@ class TestMu0Quadrature:
         ctx = NumericContext(digits=60)
         with mp.workdps(130):
             oracle = 2 * exp_exp_moments(0, lambda x: x ** 4, 1, NumericContext(digits=120))[0]
-            got = mu0_quadrature(WeightParams(1, 0, 1), ctx)
+            got = moment_table(WeightParams(1, 0, 1), 0, ctx, source="quadrature").mu(0)
             assert abs(got - oracle) < mpf(10) ** -48
             # known value Gamma(1/4)/2 = 1.81280...
             assert abs(got - gamma(mpf(1) / 4) / 2) < mpf(10) ** -48
@@ -80,16 +79,12 @@ class TestParabolicCylinder:
 
 
 class TestMu0ClosedForm:
-    def test_s_zero_rejected(self, ctx60):
-        with pytest.raises(DomainError):
-            mu0_closed_form(WeightParams(0, 1, 1), ctx60)
-
     @pytest.mark.parametrize("s,a,n", [("0.5", "1", 2), ("0.5", "0", 1)])
     def test_against_quadrature(self, s, a, n):
         ctx = NumericContext(digits=60)
         with mp.workdps(80):
-            closed = mu0_closed_form(WeightParams(s, a, n), ctx)
-            quadr = mu0_quadrature(WeightParams(s, a, n), ctx)
+            closed = mu0(WeightParams(s, a, n), ctx)
+            quadr = moment_table(WeightParams(s, a, n), 0, ctx, source="quadrature").mu(0)
             assert abs(closed - quadr) < mpf(10) ** -40
 
     def test_grid_agreement(self):
@@ -100,9 +95,21 @@ class TestMu0ClosedForm:
                 for a in ("-0.5", "0", "2.7"):
                     for n in ("0.5", "1", "4"):
                         params = WeightParams(s, a, n)
-                        closed = mu0_closed_form(params, ctx)
-                        quadr = mu0_quadrature(params, ctx)
+                        closed = mu0(params, ctx)
+                        quadr = moment_table(params, 0, ctx, source="quadrature").mu(0)
                         assert abs(closed - quadr) / closed < mpf(10) ** -30
+
+    @pytest.mark.parametrize("s", ["0", "1/2"])
+    @pytest.mark.parametrize("digits", [30, 60])
+    def test_ignores_the_ambient_precision(self, s, digits):
+        # mu0 converts (s, alpha, N) inside its own block: a caller at mpmath's
+        # default 15 digits gets the same value as one at digits + 20
+        params, ctx = WeightParams(s, "1/3", "1/3"), NumericContext(digits)
+        with mp.workdps(15):
+            low = mu0(params, ctx)
+        with mp.workdps(digits + 20):
+            high = mu0(params, ctx)
+            assert abs(low - high) <= mpf(10) ** -digits * high
 
 
 class TestMomentTable:
@@ -115,7 +122,7 @@ class TestMomentTable:
         params = WeightParams("0.5", "1", 1)
         with mp.workdps(70):
             table = moment_table(params, 4, ctx60)
-            direct = mu0_closed_form(params.shifted(2), ctx60)
+            direct = mu0(params.shifted(2), ctx60)
             assert table.mu(2) == direct
 
     def test_gaussian_second_moment(self, ctx60):
@@ -179,6 +186,6 @@ class TestMomentTable:
             s, a, N, c = Fraction(1, 2), Fraction(1), Fraction(1), Fraction(2)
             Np = N * c ** 2 * (1 - s) + N * s * c ** 4
             sp = N * s * c ** 4 / Np
-            lhs = mu0_closed_form(WeightParams(s, a, N), ctx)
-            rhs = mpf(c.numerator) ** 2 * mu0_closed_form(WeightParams(sp, a, Np), ctx)
+            lhs = mu0(WeightParams(s, a, N), ctx)
+            rhs = mpf(c.numerator) ** 2 * mu0(WeightParams(sp, a, Np), ctx)
             assert abs(lhs - rhs) / lhs < mpf(10) ** -45

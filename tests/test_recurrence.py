@@ -6,7 +6,7 @@ from mpmath import mp, mpf, mpmathify, gamma, sqrt
 from dfreud import (NumericContext, WeightParams, DomainError, beta_at_s0,
                     beta1_initial, beta_from_moments, dpi_forward, dpi_residual,
                     beta_prime, beta_second, ode25_residual, upper_bound,
-                    sensitivity_run, central_difference, ParityData)
+                    sensitivity_run, central_difference, small_s_coefficients)
 
 
 class TestBetaAtS0:
@@ -20,17 +20,21 @@ class TestBetaAtS0:
         assert beta_at_s0(7, "1.5", 1) == Fraction(17, 4)        # odd: (7+1.5)/2
 
 
-class TestParityData:
+class TestParityConstants:
+    # p_n = n + alpha (2 - 3 Delta_n) and sqrt(q_n) = n + alpha Delta_n, read back
+    # from the small-s series at N = 1: prefactor sqrt(q_n)/2, c1 = 1 - p_n - 2 sqrt(q_n)
     def test_branches(self):
-        p4 = ParityData.for_index(4, Fraction(2))
-        assert p4.p_n == 4 + 2 * 2 and p4.q_n == 16 and p4.delta_n == 0
-        p5 = ParityData.for_index(5, Fraction(2))
-        assert p5.p_n == 3 and p5.q_n == 49 and p5.delta_n == 1
+        with mp.workdps(60):
+            even = small_s_coefficients(4, WeightParams(0, 2, 1))     # p = 8, q = 16
+            assert even.prefactor == 2 and even.c[1] == 1 - 8 - 2 * 4
+            odd = small_s_coefficients(5, WeightParams(0, 2, 1))      # p = 3, q = 49
+            assert odd.prefactor == mpf(7) / 2 and odd.c[1] == 1 - 3 - 2 * 7
 
     def test_alpha_zero_parity_free(self):
-        for n in (4, 5):
-            p = ParityData.for_index(n, Fraction(0))
-            assert p.p_n == n and p.q_n == n * n
+        with mp.workdps(60):
+            for n in (4, 5):
+                data = small_s_coefficients(n, WeightParams(0, 0, 1))  # p = n, q = n^2
+                assert data.prefactor == mpf(n) / 2 and data.c[1] == 1 - 3 * n
 
 
 class TestBeta1Initial:
@@ -169,9 +173,7 @@ class TestOde25:
         n = 6
         with mp.workdps(betas.digits_used):
             s, a, N = params.mpfs()
-            wrong = ParityData.for_index(7, params.alpha)  # wrong branch for n=6
-            pn = mpf(wrong.p_n.numerator) / wrong.p_n.denominator
-            qn = mpf(wrong.q_n.numerator) / wrong.q_n.denominator
+            pn, qn = 7 - a, (7 + a) ** 2  # p_7 and q_7: the wrong branch for n = 6
             bn = betas[n]
             bp = beta_prime(n, betas, params)
             bpp = beta_second(n, betas, params)
