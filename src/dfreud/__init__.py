@@ -21,14 +21,14 @@ from .numerics import (NumericContext, DomainError, IntegrationError,
                        exp_exp_moments, central_difference)
 from .moments import (WeightParams, MomentTable, mu0, parabolic_cylinder_D,
                       moment_table)
-from .hankel import (HankelData, BetaSequence, h_sequence, beta_from_moments,
-                     logdet, mehta_normand_logD0)
+from .hankel import (BetaSequence, h_sequence, beta_from_moments, logdet,
+                     mehta_normand_logD0)
 from .recurrence import (SensitivityRun, beta_at_s0, beta1_initial, dpi_forward,
                          dpi_residual, beta_prime, beta_second, ode25_residual,
                          upper_bound, sensitivity_run, delta_parity)
 from .asymptotics import (SmallSCoefficients, LargeNCoefficients, DoubleScalingData,
                           FluidEndpoint, small_s_coefficients, beta_small_s,
-                          large_n_coefficients, beta_large_n, double_scaling_data,
+                          large_n_coefficients, beta_large_n,
                           double_scaling_coefficients, beta_double_scaling,
                           fluid_endpoint)
 from .polynomials import (MonicPolynomial, LadderPair, OdeCoefficients,

@@ -58,7 +58,6 @@ from .recurrence import (delta_parity, _laurent, _ode_slices, _ode_beta_prime_te
 class SmallSCoefficients:
     """Prefactor sqrt(q_n)/(2N) and series coefficients c_0..c_3 (c_0 = 1)."""
 
-    n: int
     prefactor: mpf
     c: tuple  # (c0, c1, c2, c3)
 
@@ -88,8 +87,7 @@ def small_s_coefficients(n: int, params: WeightParams,
               - 5 * p ** 3 - 224 * Q - 24 * N ** 2 * Q + 80 * N * p * Q
               - 48 * p ** 2 * Q + 85 * N * Q ** 2 - 125 * p * Q ** 2
               - 92 * Q ** 3) / (2 * N ** 3)
-        return SmallSCoefficients(n=n, prefactor=Q / (2 * N),
-                                  c=(mp.one, +c1, +c2, +c3))
+        return SmallSCoefficients(prefactor=Q / (2 * N), c=(mp.one, +c1, +c2, +c3))
 
 
 def beta_small_s(n: int, params: WeightParams,
@@ -121,8 +119,6 @@ class LargeNCoefficients:
     exactly zero).
     """
 
-    params: WeightParams
-    parity: str
     d: tuple
     symmetric: tuple
     alternating: tuple
@@ -223,10 +219,9 @@ def _large_n_parities(params: WeightParams, digits: int) -> tuple:
         sym = tuple(+ak for ak, _ in pairs)
         alt = tuple(+bk for _, bk in pairs)
         scale = 1 / (2 * sqrt(3 * N * s))
-        return tuple(LargeNCoefficients(params=params, parity=parity,
-                                        d=tuple(+(ak + bk * sign) for ak, bk in pairs),
+        return tuple(LargeNCoefficients(d=tuple(+(ak + bk * sign) for ak, bk in pairs),
                                         symmetric=sym, alternating=alt, scale=scale)
-                     for parity, sign in (("even", 1), ("odd", -1)))
+                     for sign in (1, -1))
 
 
 def beta_large_n(n: int, params: WeightParams,
@@ -249,11 +244,9 @@ def beta_large_n(n: int, params: WeightParams,
 
 @dataclass(frozen=True)
 class DoubleScalingData:
-    """r = n/N, f(s) = 1 - 2s - 4rs + s^2 (which the printed odd-n forms divide
-    by), and the expansion coefficients a0, a0' = da0/ds, a1, a2."""
+    """The expansion coefficients a0, a0' = da0/ds, a1 and a2 of beta_n at one
+    r = n/N and parity."""
 
-    r: mpf
-    f_s: mpf
     a0: mpf
     a0p: mpf
     a1: mpf
@@ -294,27 +287,20 @@ def double_scaling_coefficients(s, r, alpha, parity: str) -> DoubleScalingData:
     a1 = -_laurent(s1, a0) / s2_d1
     c_val = _laurent(s0, a0) + _ode_beta_prime_term(s, a0, a0p, a0pp)
     a2 = -(_laurent(s2, a0, 2) * a1 ** 2 / 2 + _laurent(s1, a0, 1) * a1 + c_val) / s2_d1
-    return DoubleScalingData(r=r, f_s=1 - 2 * s - 4 * r * s + s * s, a0=a0, a0p=a0p,
-                             a1=a1, a2=a2)
-
-
-def double_scaling_data(n: int, big_n, s, alpha,
-                        ctx: NumericContext = _DEFAULT_CTX) -> DoubleScalingData:
-    """``double_scaling_coefficients`` at r = n/N for the parity of n."""
-    with mp.workdps(ctx.digits + 10):
-        r = mpf(n) / mpmathify(big_n)
-        if not (0 < r <= 1):
-            raise DomainError(f"r = n/N must lie in (0, 1], got {r}")
-        return double_scaling_coefficients(mpmathify(s), r, mpmathify(alpha),
-                                           "even" if n % 2 == 0 else "odd")
+    return DoubleScalingData(a0=a0, a0p=a0p, a1=a1, a2=a2)
 
 
 def beta_double_scaling(n: int, big_n, s, alpha,
                         ctx: NumericContext = _DEFAULT_CTX) -> mpf:
-    """Double-scaling evaluation a0 + a1/N + a2/N^2 with parity-correct a1, a2."""
-    data = double_scaling_data(n, big_n, s, alpha, ctx)
+    """a0 + a1/N + a2/N^2 from ``double_scaling_coefficients`` at r = n/N, which
+    must lie in (0, 1], and at the parity of n."""
     with mp.workdps(ctx.digits + 10):
         Nv = mpmathify(big_n)
+        r = mpf(n) / Nv
+        if not (0 < r <= 1):
+            raise DomainError(f"r = n/N must lie in (0, 1], got {r}")
+        data = double_scaling_coefficients(mpmathify(s), r, mpmathify(alpha),
+                                           "even" if n % 2 == 0 else "odd")
         return data.a0 + data.a1 / Nv + data.a2 / Nv ** 2
 
 
@@ -330,7 +316,6 @@ class FluidEndpoint:
     exactly and beta_n / a_mu^2 -> 1/4.
     """
 
-    n: int
     b_squared: mpf
     a_mu: mpf
 
@@ -345,4 +330,4 @@ def fluid_endpoint(n: int, params: WeightParams,
     with mp.workdps(ctx.digits + 10):
         s, a, N = params.mpfs()
         b_squared = _positive_root(3 * N * s / 2, N * (1 - s), 2 * n + a)
-        return FluidEndpoint(n=n, b_squared=b_squared, a_mu=sqrt(b_squared))
+        return FluidEndpoint(b_squared=b_squared, a_mu=sqrt(b_squared))

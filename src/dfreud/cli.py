@@ -94,7 +94,7 @@ def cmd_moments(args) -> int:
     table = moment_table(params, args.max_order, ctx, source=source)
     rows = [(j, _decimal(table.values[j], args.digits)) for j in range(args.max_order + 1)]
     _emit(("j", "mu_j"), rows, args.format, args.out,
-          meta={"source": table.source, "digits": table.digits_used})
+          meta={"source": source, "digits": args.digits})
     return 0
 
 
@@ -137,7 +137,7 @@ def cmd_hankel_det(args) -> int:
     rows = []
     with mp.workdps(data.digits_used):
         running = mp.zero
-        for j, h in enumerate(data.h):
+        for j, h in enumerate(data.hs):
             running += log(h)
             rows.append((j, _decimal(h, args.digits), _decimal(running, args.digits)))
     _emit(("j", "h_j", "log_D_{j+1}"), rows, args.format, args.out,

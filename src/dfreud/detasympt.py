@@ -122,10 +122,6 @@ def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
 class AppendixBCoefficients:
     """A(s), B(s), C(s), D(s) at one (s, r, alpha) for n of one parity."""
 
-    s: mpf
-    r: mpf
-    alpha: mpf
-    parity: str
     a_s: mpf
     b_s: mpf
     c_s: mpf
@@ -179,8 +175,7 @@ def appendix_b_coefficients(s, r, alpha, parity: str,
         d_s = (_laurent(t2, a0, 2) * a1 * a2 + _laurent(t2, a0, 3) * a1 ** 3 / 6
                + _laurent(t1, a0, 1) * a2 + _laurent(t1, a0, 2) * a1 ** 2 / 2
                + _laurent(t0, a0, 1) * a1 + dt)
-        return AppendixBCoefficients(s=+s, r=+r, alpha=+alpha, parity=parity,
-                                     a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s)
+        return AppendixBCoefficients(a_s=+a_s, b_s=+b_s, c_s=+c_s, d_s=+d_s)
 
 
 def fit_abc(s, r, alpha, big_ns, ctx: NumericContext) -> tuple:
@@ -224,10 +219,6 @@ class LogDetExpansion:
     """One evaluated display: coefficients of n^2, n, log n, 1, 1/n and their
     sum ``value``, all carrying the digits of the context that evaluated them."""
 
-    quantity: Quantity
-    n: int
-    r: mpf
-    alpha: mpf
     parity: str
     n2: mpf
     n1: mpf
@@ -295,6 +286,5 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
                                                   parity == "even", ctx)
         nm = mpf(n)
         value = n2 * nm * nm + n1 * nm + lgn * log(nm) + const + invn / nm
-        return LogDetExpansion(quantity=quantity, n=n, r=+r, alpha=+alpha,
-                               parity=parity, n2=+n2, n1=+n1, logn=+lgn,
+        return LogDetExpansion(parity=parity, n2=+n2, n1=+n1, logn=+lgn,
                                const=+const, invn=+invn, value=+value)

@@ -5,6 +5,10 @@ the pivots of the n x n Hankel (moment) matrix M = (mu_{j+k}):
 
     D_n(s) = det M = prod_j h_j,        beta_n = h_n / h_{n-1}.
 
+``h_sequence`` returns both at once, as one ``BetaSequence``: the betas
+beta_0..beta_{n-1} and the pivots ``hs`` = h_0..h_{n-1}; ``logdet`` sums
+log h_j only when it is asked for.
+
 This is the "oracle" route against which the discrete-Painleve recursion and
 every asymptotic expansion are checked.  The pivots come from Gautschi's
 Chebyshev algorithm (SIAM J. Sci. Stat. Comput. 3, 1982) in O(n^2) on two rows,
@@ -36,21 +40,10 @@ Route = Literal["hankel", "dpi"]
 
 
 @dataclass(frozen=True)
-class HankelData:
-    """Pivots h_0..h_{n-1} and log D_n of the order-n moment matrix."""
-
-    params: WeightParams
-    n: int
-    h: tuple
-    logdet: mpf
-    digits_used: int
-
-
-@dataclass(frozen=True)
 class BetaSequence:
     """beta_0..beta_n with the route that produced it (beta_0 = 0 always).
 
-    ``hs`` carries the Hankel norms when the route provides them.
+    ``hs`` carries the Hankel pivots h_0..h_n on the hankel route.
     ``failure_index`` is the first index where a dP_I iteration left the
     positive cone (None when it never did).
     """
@@ -98,8 +91,9 @@ def _max_digits() -> int:
     raise DomainError(f"DFREUD_MAX_DIGITS must be an integer >= 30, got {value!r}")
 
 
-def h_sequence(params: WeightParams, n: int, ctx: NumericContext) -> HankelData:
-    """h_0..h_{n-1} as verified pivots of the n x n moment matrix.
+def h_sequence(params: WeightParams, n: int, ctx: NumericContext) -> BetaSequence:
+    """beta_0..beta_{n-1} and ``hs`` = h_0..h_{n-1}, the verified pivots of the
+    n x n moment matrix, with beta_j = h_j / h_{j-1} and beta_0 = 0.
 
     Working precision starts at ctx.digits plus a conditioning guard and the
     result is accepted only when a recomputation with 40 further digits agrees
@@ -124,9 +118,9 @@ def h_sequence(params: WeightParams, n: int, ctx: NumericContext) -> HankelData:
                             for a, b in zip(result, check))
             if agree:
                 with mp.workdps(work):
-                    logdet = fsum(log(x) for x in result)
-                return HankelData(params=params, n=n, h=tuple(result),
-                                  logdet=logdet, digits_used=work)
+                    betas = [mp.zero] + [result[j] / result[j - 1] for j in range(1, n)]
+                return BetaSequence(params=params, route="hankel", betas=tuple(betas),
+                                    digits_used=work, hs=tuple(result))
         work *= 2
 
 
@@ -141,16 +135,14 @@ def beta_from_moments(params: WeightParams, n_max: int, ctx: NumericContext) -> 
     """beta_0..beta_{n_max} from Hankel pivots: beta_j = h_j / h_{j-1}, beta_0 = 0."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    data = h_sequence(params, n_max + 1, ctx)
-    with mp.workdps(data.digits_used):
-        betas = [mp.zero] + [data.h[j] / data.h[j - 1] for j in range(1, n_max + 1)]
-    return BetaSequence(params=params, route="hankel", betas=tuple(betas),
-                        digits_used=data.digits_used, hs=data.h)
+    return h_sequence(params, n_max + 1, ctx)
 
 
 def logdet(params: WeightParams, n: int, ctx: NumericContext) -> mpf:
-    """log D_n(s) via the pivot product."""
-    return h_sequence(params, n, ctx).logdet
+    """log D_n(s) = sum_j log h_j over the pivots, at their working precision."""
+    seq = h_sequence(params, n, ctx)
+    with mp.workdps(seq.digits_used):
+        return fsum(log(h) for h in seq.hs)
 
 
 def mehta_normand_logD0(n: int, alpha, big_n, ctx: NumericContext) -> mpf:

@@ -87,10 +87,7 @@ Source = Literal["quadrature", "closed_form"]
 class MomentTable:
     """mu_0..mu_max at fixed parameters; odd entries are exact zeros."""
 
-    params: WeightParams
     values: tuple
-    source: Source
-    digits_used: int
 
     def mu(self, j: int) -> mpf:
         return self.values[j]
@@ -152,4 +149,4 @@ def moment_table(params: WeightParams, max_order: int, ctx: NumericContext,
     else:
         evens = _even_moments(params, count, ctx)
     values = tuple(evens[j // 2] if j % 2 == 0 else mp.zero for j in range(max_order + 1))
-    return MomentTable(params=params, values=values, source=source, digits_used=ctx.digits)
+    return MomentTable(values=values)

@@ -95,8 +95,6 @@ def _check_index(n: int, betas, lowest: int = 1) -> None:
 class LadderPair:
     """A_n, B_n and v_0' evaluated at a point z."""
 
-    n: int
-    z: mpf
     a_n: mpf
     b_n: mpf
     v0_prime: mpf
@@ -133,7 +131,7 @@ def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
         z = mpmathify(z)
         c, v, a, v0p = _constants(params, z)
         a_n, b_n = _ladder(n, z, c, v, a, betas)
-        return LadderPair(n=n, z=z, a_n=a_n, b_n=b_n, v0_prime=v0p)
+        return LadderPair(a_n=a_n, b_n=b_n, v0_prime=v0p)
 
 
 def _lowering(n: int, z, params: WeightParams, betas, p_prev, p, dp) -> tuple:
@@ -202,7 +200,6 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
 class OdeCoefficients:
     """R_n(z) and Q_n(z) of P_n'' + R_n P_n' + Q_n P_n = 0, evaluated at z."""
 
-    n: int
     z: mpf
     r_n: mpf
     q_n: mpf
@@ -235,7 +232,7 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
                - a_odd
                - (2 * c * betas[n] * z * z + a * (1 - sgn)) / pole
                + n * c * z * z)
-        return OdeCoefficients(n=n, z=z, r_n=r_n, q_n=q_n)
+        return OdeCoefficients(z=z, r_n=r_n, q_n=q_n)
 
 
 def _ode_relative(co: OdeCoefficients, p, dp, ddp) -> mpf:

@@ -220,9 +220,6 @@ def upper_bound(n: int, params: WeightParams, ctx: NumericContext = _DEFAULT_CTX
 class SensitivityRun:
     """One perturbed dP_I trajectory: where (if at all) positivity first failed."""
 
-    params: WeightParams
-    epsilon: str
-    digits: int
     first_failure_index: Optional[int]
     trajectory: tuple
 
@@ -239,6 +236,4 @@ def sensitivity_run(params: WeightParams, epsilon, n_max: int,
     with mp.workdps(ctx.digits + 20):
         b1 = beta1_initial(params, NumericContext(digits=ctx.digits + 20)) + mpmathify(epsilon)
     seq = dpi_forward(params, b1, n_max, ctx)
-    return SensitivityRun(params=params, epsilon=str(epsilon), digits=ctx.digits,
-                          first_failure_index=seq.failure_index,
-                          trajectory=seq.betas)
+    return SensitivityRun(first_failure_index=seq.failure_index, trajectory=seq.betas)

@@ -58,8 +58,7 @@ def per_entry_table(params, max_order: int, ctx) -> MomentTable:
     with mp.workdps(ctx.digits + 10):
         values = tuple(mu0(params.shifted(j), ctx) if j % 2 == 0 else mp.zero
                        for j in range(max_order + 1))
-        return MomentTable(params=params, values=values, source="closed_form",
-                           digits_used=ctx.digits)
+        return MomentTable(values=values)
 
 
 def parabolic_cylinder_D_integral(nu, z, ctx):

@@ -41,6 +41,14 @@ def test_criterion_03_lew_quarles():
     _run(V.criterion_3, "3")
 
 
+def test_criterion_03_cone_exit_is_a_failed_check():
+    """At 60 digits the dP_I run leaves the positive cone before n = 300; the
+    comparison is then a failed check with measured = inf, not an IndexError."""
+    check = V.criterion_3(digits=60)[1]
+    assert check.id == "3.dpi-vs-expansion"
+    assert not check.passed and check.measured == "+inf"
+
+
 def test_criterion_04_remainder_orders():
     """O(s^4), O(n^{-7/2}) and O(N^{-3}) remainder-order measurements."""
     _run(V.criterion_4, "4")

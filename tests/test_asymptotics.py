@@ -8,7 +8,7 @@ from dfreud.numerics import fraction_to_mpf
 from dfreud import (NumericContext, WeightParams, DomainError,
                     beta_at_s0, beta_from_moments,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
-                    beta_large_n, double_scaling_data, beta_double_scaling,
+                    beta_large_n, double_scaling_coefficients, beta_double_scaling,
                     fluid_endpoint)
 
 
@@ -183,14 +183,14 @@ class TestDoubleScaling:
     def test_a0_freud_point(self):
         # r=1, s=1, alpha=0: a0 = sqrt(12)/12 = sqrt(3)/6
         with mp.workdps(60):
-            data = double_scaling_data(40, 40, 1, 0)
+            data = double_scaling_coefficients(mpf(1), mpf(40) / 40, mpf(0), "even")
             assert abs(data.a0 - sqrt(mpf(3)) / 6) < mpf(10) ** -45
 
     def test_a0_solves_cubic(self):
         # a0 is the positive root of the fluid cubic (limit of the ODE)
         with mp.workdps(60):
             s, r = mpf("0.5"), mpf("0.8")
-            data = double_scaling_data(32, 40, s, "1.5")
+            data = double_scaling_coefficients(s, mpf(32) / 40, mpf("1.5"), "even")
             x = data.a0
             cubic = (3 * (1 + s) ** 2 / (8 * s ** 2) * x ** 3
                      + (1 + s) ** 2 * (1 - s) / (4 * s ** 3) * x ** 2
@@ -204,16 +204,16 @@ class TestDoubleScaling:
             s, al = mpf("0.5"), mpf("1.5")
             g = sqrt(1 - 2 * s + 12 * s + s * s)
             f = 1 - 2 * s - 4 * s + s * s
-            even = double_scaling_data(40, 40, s, al)
+            even = double_scaling_coefficients(s, mpf(40) / 40, al, "even")
             want_even = (s - 1 + g) * al / (4 * (s - 1) * g - 2 * g * g)
             assert abs(even.a1 - want_even) < mpf(10) ** -40
-            odd = double_scaling_data(41, 41, s, al)
+            odd = double_scaling_coefficients(s, mpf(41) / 41, al, "odd")
             want_odd = al * (1 - s) / (2 * f) - 4 * al * s / (f * g)
             assert abs(odd.a1 - want_odd) < mpf(10) ** -40
 
     def test_a1_even_vanishes_at_alpha0(self):
         with mp.workdps(60):
-            data = double_scaling_data(40, 40, "0.5", 0)
+            data = double_scaling_coefficients(mpf("0.5"), mpf(40) / 40, mpf(0), "even")
             assert abs(data.a1) < mpf(10) ** -45
 
     def test_remainder_order(self):
@@ -235,15 +235,16 @@ class TestDoubleScaling:
     def test_f_zero_is_regular(self, n, big_n, a1, a2):
         # f(s) = 1 - 2s - 4rs + s^2 = 0 at r = (1-s)^2/(4s): s=1/2 -> r = 1/8;
         # nothing divides by f, so a0 = 1/12, a1 and a2 are exact rationals there
-        data = double_scaling_data(n, big_n, "0.5", 1)
         with mp.workdps(60):
-            assert data.f_s == 0
+            s, r = mpf("0.5"), mpf(n) / big_n
+            assert 1 - 2 * s - 4 * r * s + s * s == 0
+            data = double_scaling_coefficients(s, r, mpf(1), "even" if n % 2 == 0 else "odd")
             for got, want in ((data.a0, Fraction(1, 12)), (data.a1, a1), (data.a2, a2)):
                 assert abs(got - mpf(want.numerator) / want.denominator) < mpf(10) ** -50
 
     def test_r_range(self):
         with pytest.raises(DomainError):
-            double_scaling_data(80, 40, "0.5", 1)
+            beta_double_scaling(80, 40, "0.5", 1)
 
     @pytest.mark.parametrize("r", ["1/8", "7/10", "1"])
     @pytest.mark.parametrize("s", ["1e-3", "1e-10", "1e-20"])

@@ -4,6 +4,8 @@ import pytest
 from mpmath import mp, mpf, mpmathify, sqrt
 
 from dfreud.cli import main
+from dfreud.numerics import fraction_to_mpf
+from dfreud.recurrence import beta_at_s0
 from dfreud.verification import VerificationReport
 
 
@@ -199,6 +201,21 @@ class TestSweep:
         assert code == 2 and out == "" and "n >= 0" in err
         assert calls == []
 
+    def test_s0_rows_are_the_closed_form(self, capsys):
+        # largen has no value at s = 0, so sweep prints beta_at_s0 there
+        code, out, _ = run_cli(capsys, "sweep", "--s-from", "0", "--s-to", "1/2",
+                               "--steps", "2", "--method", "largen", "--n-list", "1,2")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(s, n) for s, n, _ in rows] == [("0.0", "1"), ("0.0", "2"),
+                                                ("0.5", "1"), ("0.5", "2")]
+        for _, n, beta in rows[:2]:
+            assert mpmathify(beta) == fraction_to_mpf(beta_at_s0(int(n), 0, 1))
+
+    def test_zero_steps_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--steps", "0")
+        assert code == 2 and out == "" and "grid point" in err
+
     def test_largen_prints_zero_at_n0(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--method", "largen", "--n-list", "0,3",
                                "--s-from", "0.5", "--steps", "2")
@@ -221,6 +238,17 @@ class TestVerify:
         assert report.all_passed
         # lossless round trip
         assert VerificationReport.from_json(report.to_json()).checks == report.checks
+
+    def test_cone_exit_under_an_override_is_reported(self, capsys, tmp_path):
+        # at 60 digits the dP_I run of criterion 3 leaves the positive cone before
+        # n = 300: a failed check in the report, not an uncaught IndexError
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "--suite", "asympt", "--digits", "60",
+                             "--out", str(out_path))
+        assert code == 1
+        checks = {c.id: c for c in VerificationReport.from_json(out_path.read_text()).checks}
+        assert not checks["3.dpi-vs-expansion"].passed
+        assert checks["3.dpi-vs-expansion"].measured == "+inf"
 
     def test_exit_code_reflects_failure(self, capsys, monkeypatch):
         import dfreud.verification as verification

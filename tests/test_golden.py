@@ -22,7 +22,9 @@ table ran its recurrence downward from the top two moments.
 a0' and a0'' came from one cancellation-free root of the fluid quadratic.
 ``beta_hankel_s0`` (s = 0, alpha = 5/2, N = 3) was captured while ``beta --method
 hankel`` still printed the exact closed form at s = 0 instead of running the
-Hankel route there.
+Hankel route there.  ``moments_json`` and ``hankel_det_json`` pin the JSON
+meta (the moment table's source and digits, the pivots' ``digits_used``); they
+were captured while those values were still fields of the result records.
 """
 from pathlib import Path
 
@@ -53,6 +55,8 @@ CASES = {
     "moments": (("moments",), 0),
     "moments_small_s": (("moments", "--s", "0.01", "--alpha", "2.1", "--N", "5",
                          "--max-order", "40"), 0),
+    "moments_json": (("moments", "--format", "json", "--max-order", "4"), 0),
+    "hankel_det_json": (("hankel-det", "--format", "json", "--n", "4"), 0),
 }
 
 

@@ -1,7 +1,9 @@
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, log, gamma
 
-from dfreud import (NumericContext, WeightParams, DomainError, h_sequence,
+from dfreud import hankel
+from dfreud import (NumericContext, WeightParams, DomainError, PrecisionExhaustedError,
+                    h_sequence, logdet,
                     beta_from_moments, mehta_normand_logD0, mu0,
                     beta_at_s0, beta1_initial, dpi_forward, moment_table)
 from conftest import assert_close
@@ -13,28 +15,30 @@ class TestHSequence:
         params = WeightParams("0.5", "1", 2)
         data = h_sequence(params, 1, ctx60)
         with mp.workdps(70):
-            assert abs(data.h[0] - mu0(params, ctx60)) < mpf(10) ** -55
+            assert abs(data.hs[0] - mu0(params, ctx60)) < mpf(10) ** -55
 
     def test_gaussian_d2(self, ctx60):
         # D_2(0) = mu_0 mu_2 - mu_1^2 = pi/2 at (alpha, N) = (0, 1)
-        data = h_sequence(WeightParams(0, 0, 1), 2, ctx60)
         with mp.workdps(70):
-            assert_close(data.logdet, log(pi / 2), mpf(10) ** -55, dps=70)
+            assert_close(logdet(WeightParams(0, 0, 1), 2, ctx60), log(pi / 2),
+                         mpf(10) ** -55, dps=70)
 
     def test_gaussian_d3(self, ctx60):
         # 3x3 determinant with mu_0 = sqrt(pi), mu_2 = sqrt(pi)/2, mu_4 = 3 sqrt(pi)/4
-        data = h_sequence(WeightParams(0, 0, 1), 3, ctx60)
         with mp.workdps(70):
-            assert_close(data.logdet, log(pi ** mpf(1.5) / 4), mpf(10) ** -55, dps=70)
+            assert_close(logdet(WeightParams(0, 0, 1), 3, ctx60), log(pi ** mpf(1.5) / 4),
+                         mpf(10) ** -55, dps=70)
 
     def test_pivots_positive(self, ctx60):
         data = h_sequence(WeightParams("1", "2.5", 1), 20, ctx60)
-        assert all(h > 0 for h in data.h)
+        assert all(h > 0 for h in data.hs)
 
     def test_logdet_is_pivot_sum(self, ctx60):
-        data = h_sequence(WeightParams("0.5", 0, 1), 6, ctx60)
+        params = WeightParams("0.5", 0, 1)
+        data = h_sequence(params, 6, ctx60)
         with mp.workdps(data.digits_used):
-            assert abs(data.logdet - mp.fsum(log(h) for h in data.h)) < mpf(10) ** -50
+            pivot_sum = mp.fsum(log(h) for h in data.hs)
+            assert abs(logdet(params, 6, ctx60) - pivot_sum) < mpf(10) ** -50
 
 
 class TestBetaFromMoments:
@@ -100,6 +104,43 @@ class TestBetaFromMoments:
             beta_from_moments(WeightParams("0.5", 0, 1), 0, ctx60)
 
 
+class TestEscalation:
+    """A failed first attempt doubles the working precision, up to the cap."""
+
+    @staticmethod
+    def _fail_first_primary(monkeypatch):
+        # h_sequence runs the +40-digit check first, then the primary attempt
+        real, calls = hankel._attempt_pivots, []
+
+        def attempt(params, n, work):
+            calls.append(work)
+            return None if len(calls) == 2 else real(params, n, work)
+
+        monkeypatch.setattr(hankel, "_attempt_pivots", attempt)
+        return calls
+
+    def test_doubles_and_keeps_every_digit(self, ctx60, monkeypatch):
+        params = WeightParams("0.5", "1.5", 2)
+        plain = h_sequence(params, 12, ctx60)
+        calls = self._fail_first_primary(monkeypatch)
+        forced = h_sequence(params, 12, ctx60)
+        work = plain.digits_used
+        assert calls == [work + 40, work, 2 * work + 40, 2 * work]
+        assert forced.digits_used == 2 * work
+        assert forced[0] == 0
+        with mp.workdps(work):
+            for a, b in zip(forced.betas[1:], plain.betas[1:], strict=True):
+                assert abs(a - b) <= abs(b) * mpf(10) ** -ctx60.digits
+
+    def test_cap_below_the_doubled_precision(self, ctx60, monkeypatch):
+        work = ctx60.digits + 20 + 2 * 12      # the first attempt's precision
+        monkeypatch.setenv("DFREUD_MAX_DIGITS", str(3 * work // 2))
+        calls = self._fail_first_primary(monkeypatch)
+        with pytest.raises(PrecisionExhaustedError):
+            h_sequence(WeightParams("0.5", "1.5", 2), 12, ctx60)
+        assert calls == [work + 40, work]
+
+
 class TestMehtaNormand:
     def test_n1_equals_mu0(self, ctx60):
         with mp.workdps(80):
@@ -122,7 +163,7 @@ class TestMehtaNormand:
         # |log D_n(0) from pivots - closed form| < 10^{-digits/2}, n <= 20
         for alpha in ("0", "1", "2.5"):
             for big_n in (1, 3):
-                data = h_sequence(WeightParams(0, alpha, big_n), 20, ctx60)
+                pivots = logdet(WeightParams(0, alpha, big_n), 20, ctx60)
                 with mp.workdps(80):
                     closed = mehta_normand_logD0(20, mpmathify(alpha), big_n, ctx60)
-                    assert abs(data.logdet - closed) < mpf(10) ** -30
+                    assert abs(pivots - closed) < mpf(10) ** -30

@@ -248,6 +248,12 @@ class TestSensitivity:
         assert all(i is not None for i in idx)
         assert idx[0] <= idx[1] <= idx[2]
 
+    def test_negative_start_fails_at_once(self):
+        # beta_1 - 10 < 0: the run stops at its first index, before any step
+        run = sensitivity_run(WeightParams("0.5", 3, 1), "-10", 5)
+        assert run.first_failure_index == 1
+        assert len(run.trajectory) == 2
+
 
 class TestMonotonicityStructure:
     """The positive solution increases within each parity class; the full
