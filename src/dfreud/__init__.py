@@ -19,8 +19,7 @@ an explicit NumericContext; nothing mutates global precision.
 from .numerics import (NumericContext, DomainError, IntegrationError,
                        PrecisionExhaustedError, PoleError, barnes_g_log,
                        exp_exp_moments, central_difference)
-from .moments import (WeightParams, MomentTable, mu0, parabolic_cylinder_D,
-                      moment_table)
+from .moments import WeightParams, MomentTable, mu0, moment_table
 from .hankel import (BetaSequence, h_sequence, beta_from_moments, logdet,
                      mehta_normand_logD0)
 from .recurrence import (SensitivityRun, beta_at_s0, beta1_initial, dpi_forward,

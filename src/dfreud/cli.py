@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
         for i in range(args.steps):
             sv = s_from + (s_to - s_from) * i / max(args.steps - 1, 1)
             params = WeightParams(sv, args.alpha, args.N)
-            if params.is_gaussian:      # the closed form: largen has no value at s = 0
+            if params.s == 0:      # the closed form: largen has no value at s = 0
                 values = {n: fraction_to_mpf(recurrence.beta_at_s0(
                     n, params.alpha, params.big_n)) for n in n_list}
             else:

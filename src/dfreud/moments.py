@@ -61,10 +61,6 @@ class WeightParams:
         if not (0 <= self.s <= 1):
             raise DomainError(f"s must lie in [0, 1], got {self.s}")
 
-    @property
-    def is_gaussian(self) -> bool:
-        return self.s == 0
-
     def mpfs(self) -> tuple[mpf, mpf, mpf]:
         """(s, alpha, N) as mpf at the current working precision."""
         return (fraction_to_mpf(self.s), fraction_to_mpf(self.alpha),
@@ -93,24 +89,6 @@ class MomentTable:
         return self.values[j]
 
 
-def parabolic_cylinder_D(nu, z, ctx: NumericContext) -> mpf:
-    """Parabolic cylinder function D_nu(z) for nu < 0.
-
-    The restriction nu < 0 matches the integral representation
-
-        D_nu(z) = exp(-z^2/4)/Gamma(-nu) * int_0^inf t^(-nu-1) exp(-t^2/2 - t z) dt
-
-    which is the form the moment closed form rests on (here nu = -(a+1)/2 < 0
-    always).  Evaluation itself uses mpmath's hypergeometric implementation;
-    the tests check it against the integral representation.
-    """
-    with mp.workdps(ctx.digits + 10):
-        nu, z = mpmathify(nu), mpmathify(z)
-        if nu >= 0:
-            raise DomainError("representation requires nu < 0")
-        return +pcfd(nu, z)
-
-
 def mu0(params: WeightParams, ctx: NumericContext) -> mpf:
     """mu_0: the generalized Gaussian form at s = 0, else the parabolic-cylinder
     closed form (module docstring), both at ctx.digits + 10."""
@@ -121,7 +99,7 @@ def mu0(params: WeightParams, ctx: NumericContext) -> mpf:
         z = n * (1 - s) / sqrt(2 * n * s)
         return ((2 * n * s) ** (-(a + 1) / 4) * gamma((a + 1) / 2)
                 * exp(n * (1 - s) ** 2 / (8 * s))
-                * parabolic_cylinder_D(-(a + 1) / 2, z, ctx))
+                * pcfd(-(a + 1) / 2, z))
 
 
 def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list:

@@ -66,7 +66,7 @@ def dpi_forward(params: WeightParams, beta1, n_max: int,
     Halts early when some beta_n <= 0 or stops being finite, recording the
     first failing index in the returned sequence.
     """
-    if params.is_gaussian:
+    if params.s == 0:
         raise DomainError("dP_I iteration needs s > 0; use beta_at_s0 instead")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")

@@ -1,7 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpf, mpmathify
 
 from dfreud import NumericContext
+
+#: each check of ``dfreud verify --suite all`` at the default precisions, by id
+VERIFY_GOLDEN = {row["id"]: row for row in json.loads(
+    (Path(__file__).parent / "golden" / "verify_all.json").read_text(encoding="utf-8"))}
 
 
 @pytest.fixture

@@ -2,11 +2,17 @@
 
 Each test runs one numbered criterion from ``dfreud.verification`` (the same
 functions behind ``dfreud verify``) and prints a PASS/FAIL line per check.
-Tolerances and precisions are fixed inside the criterion functions.
+Tolerances and precisions are fixed inside the criterion functions, and
+every check must reproduce its row of ``golden/verify_all.json`` (the
+``verify --suite all`` report at the default precisions) exactly, so a change
+of any measured digit is deliberate.
 """
+from dataclasses import asdict
+
 import pytest
 
 from dfreud import verification as V
+from conftest import VERIFY_GOLDEN
 
 
 def _run(criterion, label):
@@ -17,6 +23,8 @@ def _run(criterion, label):
               f"threshold={check.threshold} -- {check.description}")
     failed = [c for c in checks if not c.passed]
     assert not failed, f"criterion {label}: {[c.id for c in failed]} failed"
+    for check in checks:
+        assert asdict(check) == VERIFY_GOLDEN[check.id], check.id
 
 
 def test_criterion_01_gaussian_closure():
@@ -42,11 +50,24 @@ def test_criterion_03_lew_quarles():
 
 
 def test_criterion_03_cone_exit_is_a_failed_check():
-    """At 60 digits the dP_I run leaves the positive cone before n = 300; the
-    comparison is then a failed check with measured = inf, not an IndexError."""
-    check = V.criterion_3(digits=60)[1]
-    assert check.id == "3.dpi-vs-expansion"
-    assert not check.passed and check.measured == "+inf"
+    """At 60 and at 30 digits the dP_I run leaves the positive cone before
+    n = 300; the comparison is then a failed check with measured = inf, not an
+    IndexError, while the Lew-Quarles check on the same context still passes."""
+    for digits in (60, 30):
+        lew_quarles, dpi = V.criterion_3(digits=digits)
+        assert lew_quarles.id == "3.lew-quarles" and lew_quarles.passed
+        assert dpi.id == "3.dpi-vs-expansion"
+        assert not dpi.passed and dpi.measured == "+inf"
+
+
+@pytest.mark.parametrize("criterion", [V.criterion_4, V.criterion_10, V.ode_invariants],
+                         ids=lambda fn: fn.__name__)
+def test_override_at_30_digits_passes(criterion):
+    """The expansions, the fit and the s-ODE checks run on the criterion's own
+    30-digit context and all pass; the beta' central difference keeps its
+    fixed 80 digits, without which ode.beta-prime-vs-fd fails here."""
+    failed = [c.id for c in criterion(digits=30) if not c.passed]
+    assert not failed
 
 
 def test_criterion_04_remainder_orders():
@@ -55,7 +76,7 @@ def test_criterion_04_remainder_orders():
 
 
 def test_criterion_05_upper_bound():
-    """beta_n below the closed-form bound for every beta computed in the suite."""
+    """beta_n below the closed-form bound on the fixed 14-point grid, n <= 30."""
     _run(V.criterion_5, "5")
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt
@@ -7,6 +8,7 @@ from dfreud.cli import main
 from dfreud.numerics import fraction_to_mpf
 from dfreud.recurrence import beta_at_s0
 from dfreud.verification import VerificationReport
+from conftest import VERIFY_GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +240,9 @@ class TestVerify:
         assert report.all_passed
         # lossless round trip
         assert VerificationReport.from_json(report.to_json()).checks == report.checks
+        # every row as in the golden `verify --suite all` report
+        assert [asdict(c) for c in report.checks] == [
+            row for cid, row in VERIFY_GOLDEN.items() if cid.startswith("ode.")]
 
     def test_cone_exit_under_an_override_is_reported(self, capsys, tmp_path):
         # at 60 digits the dP_I run of criterion 3 leaves the positive cone before

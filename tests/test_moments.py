@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma
 
 from dfreud import (NumericContext, WeightParams, DomainError, mu0,
-                    parabolic_cylinder_D, moment_table, exp_exp_moments, moments)
+                    moment_table, exp_exp_moments, moments)
 from conftest import assert_close
 from oracles import parabolic_cylinder_D_integral
 
@@ -47,33 +47,32 @@ class TestMu0Quadrature:
 
 
 class TestParabolicCylinder:
-    def test_d_minus_one_at_zero(self, ctx60):
+    """mpmath's ``pcfd``, as ``mu0`` calls it, against the integral representation."""
+
+    def test_d_minus_one_at_zero(self):
         # D_{-1}(0) = sqrt(pi/2): half-Gaussian over Gamma(1)
         with mp.workdps(70):
-            assert_close(parabolic_cylinder_D(-1, 0, ctx60), sqrt(pi / 2),
-                         mpf(10) ** -48, dps=70)
+            assert_close(moments.pcfd(-1, 0), sqrt(pi / 2), mpf(10) ** -48, dps=70)
 
     def test_integral_representation_oracle(self):
         # D_{-1}(5) against the direct integral at doubled digits
-        ctx = NumericContext(digits=60)
         oracle_ctx = NumericContext(digits=120)
         with mp.workdps(130):
-            got = parabolic_cylinder_D(-1, 5, ctx)
+            got = moments.pcfd(-1, 5)
             oracle = parabolic_cylinder_D_integral(-1, 5, oracle_ctx)
             assert abs(got - oracle) / abs(oracle) < mpf(10) ** -48
 
     @pytest.mark.parametrize("nu,z", [("-0.5", "0.3"), ("-16.25", "2"),
                                       ("-31.5", "7.5")])
-    def test_oracle_across_range(self, nu, z, ctx60):
+    def test_oracle_across_range(self, nu, z):
         with mp.workdps(80):
-            got = parabolic_cylinder_D(mpmathify(nu), mpmathify(z), ctx60)
+            got = moments.pcfd(mpmathify(nu), mpmathify(z))
             oracle = parabolic_cylinder_D_integral(mpmathify(nu), mpmathify(z),
                                                    NumericContext(digits=70))
             assert abs(got - oracle) / abs(oracle) < mpf(10) ** -45
 
     def test_domain(self, ctx60):
-        with pytest.raises(DomainError):
-            parabolic_cylinder_D(0, 1, ctx60)
+        # the integral representation needs nu < 0
         with pytest.raises(DomainError):
             parabolic_cylinder_D_integral(0.5, 1, ctx60)
 
