@@ -15,10 +15,11 @@ its predicted remainder order:
    2018, ch. 2).  The dP_I is solved order by order as two plain series in
    t = n^{-1/2}, one at an even n and one at an odd n, since the neighbours
    n +- 1 of either carry the other parity's coefficients.  At order k the
-   two residuals are 6 a_k +- 2 b_k plus terms in the lower orders, so one
-   residual per order gives the pair; the solver reduces to the classical
-   coefficient table at alpha = 0, and one cached solve per point serves
-   both parities.  Truncation after k = 7 leaves an O(n^{-7/2}) remainder.
+   two residuals are 6 a_k +- 2 b_k plus terms in the lower orders, already
+   final, so only the t^k coefficient of each residual is formed and the
+   solve costs O(7^2) products; it reduces to the classical coefficient
+   table at alpha = 0, and one cached solve per point serves both parities.
+   Truncation after k = 7 leaves an O(n^{-7/2}) remainder.
 
 3. n, N -> infinity with r = n/N fixed (``beta_double_scaling``):
    beta = a0(s) + a1(s)/N + a2(s)/N^2 + O(N^{-3}) where a0 solves the
@@ -128,72 +129,40 @@ class LargeNCoefficients:
 _ORDER = 7  # truncation order in t = n^{-1/2}
 
 # binomial(h/2, m) = prod_{i<m} (h - 2i) / (2^m m!), exactly, for the powers
-# (1 + eps t^2)^(h/2), h = 1 - k, that ``_shifted`` expands for k = 0.._ORDER.
+# (1 + eps t^2)^(h/2), h = 1 - k, k = 0.._ORDER, that beta_{n+-1} expands into.
 _BINOMIALS = {h: tuple(Fraction(prod(h - 2 * i for i in range(m)), 2 ** m * factorial(m))
                        for m in range(_ORDER // 2 + 1))
               for h in range(1, -_ORDER, -1)}
 
 
-def _binom_series(eps: int, h: int) -> list:
-    """(1 + eps t^2)^(h/2) to order t^_ORDER at the working precision."""
-    out = [mp.zero] * (_ORDER + 1)
-    for m, c in enumerate(_BINOMIALS[h]):
-        out[2 * m] = fraction_to_mpf(c) * eps ** m
-    return out
-
-
-def _mul(x: list, y: list) -> list:
-    """Product of two series in t, truncated after t^_ORDER."""
-    out = [mp.zero] * (_ORDER + 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j in range(_ORDER + 1 - i):
-                out[i + j] += xi * y[j]
-    return out
-
-
-def _shifted(eps: int, d) -> list:
-    """beta_{n+eps} / (C sqrt(n)) in t = n^{-1/2}, given the d_1.._ORDER of n + eps:
-    sum_k d_k t^k (1 + eps t^2)^{(1-k)/2}, d_0 = 1, the sqrt(n + eps) folded in."""
-    out = [mp.zero] * (_ORDER + 1)
-    for k, dk in enumerate((mp.one, *d)):
-        if dk:
-            for i, c in enumerate(_binom_series(eps, 1 - k)[:_ORDER + 1 - k]):
-                out[i + k] += dk * c
-    return out
-
-
-def _dpi_series_residual(even, odd, s, alpha, N) -> tuple:
-    """Residual series of the dP_I, times t^2/C^2 with C^2 = 1/(12 N s), at an even
-    and at an odd n; ``even``/``odd`` hold each parity's d_1.._ORDER, and the
-    neighbours n +- 1 always carry the other parity's."""
-    u_over_c = (1 - s) / (2 * s) * sqrt(12 * N * s)
-    residuals = []
-    for own, other, alpha_term in ((even, odd, 0), (odd, even, 3 * alpha)):
-        center = [mp.one, *own]
-        triple = [c + up + dn for c, up, dn in
-                  zip(center, _shifted(1, other), _shifted(-1, other))]
-        res = _mul(center, triple)
-        for i in range(_ORDER):
-            res[i + 1] += u_over_c * center[i]
-        res[0] -= 3
-        res[2] -= alpha_term  # 3 alpha Delta_n t^2 from (n + alpha Delta_n)/(4 N s)
-        residuals.append(res)
-    return tuple(residuals)
-
-
 def _solve_string_coefficients(s, alpha, N) -> list:
     """(a_k, b_k) for k = 1.._ORDER by matching orders of the dP_I residual.
 
-    With d_k = a_k +- b_k still zero, the order-k residuals are
-    r_e = 6 a_k + 2 b_k + (lower pairs) and r_o = 6 a_k - 2 b_k + (lower pairs),
-    so one residual per order gives the pair exactly.
+    beta_n / (C sqrt(n)) = sum_j own_j t^j in t = n^{-1/2}, own_0 = 1, own_j the
+    d_j of n's parity; the neighbours n +- 1 carry the other parity's d_j with
+    (1 +- t^2)^{(1-j)/2} folded in, and in their sum the odd powers of +-t^2
+    cancel, so the neighbour sum is the series ``triple`` with
+    triple_k = own_k + 2 sum_{m even} binomial((1 - (k - 2m))/2, m) other_{k-2m}.
+    The residual times t^2/C^2, C^2 = 1/(12 N s), is own * triple + u t own - 3
+    - 3 alpha Delta_n t^2 with u = (1-s)/(2s) / C.  Its t^k coefficient is
+    4 own_k + 2 other_k plus terms in the orders below k, which are final:
+    r_e = 6 a_k + 2 b_k + (lower) at an even n and r_o = 6 a_k - 2 b_k + (lower)
+    at an odd n, so order k costs O(k) work and the pair follows exactly.
     """
-    even, odd, pairs = [mp.zero] * _ORDER, [mp.zero] * _ORDER, []
+    u = (1 - s) / (2 * s) * sqrt(12 * N * s)
+    alpha_terms = (0, 3 * alpha)  # index 0 is an even n, index 1 an odd n
+    own, triple, pairs = ([mp.one], [mp.one]), ([3 * mp.one], [3 * mp.one]), []
     for k in range(1, _ORDER + 1):
-        res_e, res_o = _dpi_series_residual(even, odd, s, alpha, N)
-        a, b = -(res_e[k] + res_o[k]) / 12, -(res_e[k] - res_o[k]) / 4
-        even[k - 1], odd[k - 1] = a + b, a - b
+        binoms = [(m, fraction_to_mpf(_BINOMIALS[1 - (k - 2 * m)][m]))
+                  for m in range(2, k // 2 + 1, 2)]
+        tails = [2 * sum(c * own[1 - p][k - 2 * m] for m, c in binoms) for p in (0, 1)]
+        lower = [tails[p] + u * own[p][k - 1] - (alpha_terms[p] if k == 2 else 0)
+                 + sum(own[p][i] * triple[p][k - i] for i in range(1, k)) for p in (0, 1)]
+        a, b = -(lower[0] + lower[1]) / 12, -(lower[0] - lower[1]) / 4
+        own[0].append(a + b)
+        own[1].append(a - b)
+        for p in (0, 1):
+            triple[p].append(own[p][k] + 2 * own[1 - p][k] + tails[p])
         pairs.append((a, b))
     return pairs
 

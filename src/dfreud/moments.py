@@ -28,6 +28,7 @@ the integral above).  Odd entries are exact zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal
 
@@ -60,6 +61,15 @@ class WeightParams:
             raise DomainError(f"N must be positive, got {self.big_n}")
         if not (0 <= self.s <= 1):
             raise DomainError(f"s must lie in [0, 1], got {self.s}")
+
+    # Fraction hashes take a modular inverse each; the caches key on these params
+    # many times over, so the dataclass hash of (s, alpha, big_n) is kept once made.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.s, self.alpha, self.big_n))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def mpfs(self) -> tuple[mpf, mpf, mpf]:
         """(s, alpha, N) as mpf at the current working precision."""

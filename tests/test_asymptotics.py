@@ -152,8 +152,9 @@ class TestLargeN:
             beta_large_n(10, WeightParams(0, 0, 1))
 
     def test_binomial_table_matches_mpmath(self):
-        # every h = 1 - k, k = 0..7, that _shifted expands, each entry binomial(h/2, m)
-        # for m <= 3, so that t^k (1 + eps t^2)^(h/2) reaches t^7
+        # every h = 1 - k, k = 0..7, of the (1 + eps t^2)^(h/2) that beta_{n+-1}
+        # expands into, each entry binomial(h/2, m) for m <= 3, so that
+        # t^k (1 + eps t^2)^(h/2) reaches t^7
         assert set(asymptotics._BINOMIALS) == set(range(1, -7, -1))
         with mp.workdps(80):
             for h, row in asymptotics._BINOMIALS.items():
@@ -162,21 +163,24 @@ class TestLargeN:
                     want = binomial(mpf(h) / 2, m)
                     assert abs(fraction_to_mpf(c) - want) <= mpf(10) ** -79 * max(1, abs(want))
 
-    def test_one_residual_per_order_for_both_parities(self, monkeypatch):
-        # the order-k Jacobian is diag(6, 2): 7 residuals build both parities
+    def test_one_solve_per_point_for_both_parities(self, monkeypatch):
+        # one string solve yields both parities: n = 1..40 and repeated lookups of
+        # either parity at the same (params, digits) solve exactly once
         calls = []
-        residual = asymptotics._dpi_series_residual
-        monkeypatch.setattr(asymptotics, "_dpi_series_residual",
-                            lambda *args: calls.append(args) or residual(*args))
+        solve = asymptotics._solve_string_coefficients
+        monkeypatch.setattr(asymptotics, "_solve_string_coefficients",
+                            lambda *args: calls.append(args) or solve(*args))
         asymptotics._large_n_parities.cache_clear()
         params = WeightParams("3/10", "7/5", 2)
         for n in range(1, 41):
             beta_large_n(n, params)
-        assert len(calls) == 7
+        assert len(calls) == 1
         large_n_coefficients(params, "even")
         large_n_coefficients(params, "odd")
-        beta_large_n(40, params)
-        assert len(calls) == 7
+        beta_large_n(40, WeightParams("0.3", "1.4", 2))
+        assert len(calls) == 1
+        beta_large_n(40, params, NumericContext(digits=30))
+        assert len(calls) == 2
 
 
 class TestDoubleScaling:

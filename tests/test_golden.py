@@ -14,7 +14,8 @@ displays, which used to be summed at the ambient 15-digit precision, and
 solve's digits.  Both run at alpha = 0, where every alternating coefficient
 vanishes, so ``beta_largen_alpha`` and ``sweep_largen_alpha`` (alpha = 3/2)
 hold the parity split; they were captured before the solve dropped its
-sigma-pair series for one plain series per parity.  ``moments`` and
+sigma-pair series for one plain series per parity.  All four stayed the same
+when the solve went on to form only the t^k coefficient at order k.  ``moments`` and
 ``moments_small_s`` (s = 0.01, N = 5, 40th order, where the forward moment
 recurrence cancelled about 27 digits) were captured before the closed-form
 table ran its recurrence downward from the top two moments.

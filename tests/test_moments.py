@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma
 
@@ -10,7 +15,6 @@ from oracles import parabolic_cylinder_D_integral
 class TestWeightParams:
     def test_exact_storage(self):
         p = WeightParams("0.1", "2.5", 4)
-        from fractions import Fraction
         assert p.s == Fraction(1, 10) and p.alpha == Fraction(5, 2)
 
     @pytest.mark.parametrize("bad", [("1.5", 0, 1), (0, "-1", 1), (0, 0, 0),
@@ -18,6 +22,24 @@ class TestWeightParams:
     def test_invalid(self, bad):
         with pytest.raises(DomainError):
             WeightParams(*bad)
+
+    def test_cached_hash_keeps_equality_and_fields(self):
+        # the hash is made once and kept on the instance; equal params from any
+        # spelling, copied or pickled before or after that, hash and compare equal
+        spellings = [WeightParams("1/2", 1, 1), WeightParams(Fraction(1, 2), 1, 1),
+                     WeightParams(0.5, 1, 1)]
+        want = hash((Fraction(1, 2), Fraction(1), Fraction(1)))
+        fresh = WeightParams("1/2", 1, 1)
+        copies = [copy.copy(fresh), pickle.loads(pickle.dumps(fresh))]
+        hash(fresh)
+        copies += [copy.copy(fresh), pickle.loads(pickle.dumps(fresh))]
+        for p in spellings + copies:
+            assert p == spellings[0] and hash(p) == want
+            assert repr(p) == "WeightParams(s=Fraction(1, 2), alpha=Fraction(1, 1), big_n=Fraction(1, 1))"
+            assert [f.name for f in dataclasses.fields(p)] == ["s", "alpha", "big_n"]
+        assert WeightParams("1/2", 2, 1) != spellings[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spellings[0].s = Fraction(1, 3)
 
 
 class TestMu0Quadrature:

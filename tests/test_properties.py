@@ -18,7 +18,8 @@
 * Over s in [1/100, 1], alpha in (-1, 5], N in [1/4, 50] at 30 and 60 digits,
   the large-n string coefficients of both parities match an independent
   reference: sigma-pair series to t^9, mpmath binomials and a 2x2 LU solve
-  per order.
+  per order.  Fed into that reference's dP_I residual, they make every order
+  1..7 vanish to 10^-digits of the largest of 1, |a_k| and |b_k|.
 * Over s in (0, 1], alpha in (-1, 5], N in [1/4, 4], n <= 10^4 and both
   parities at 30 and 50 digits, the large-n string coefficients and beta_n
   match that reference and an fsum of fractional powers, to
@@ -44,7 +45,7 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
 from dfreud.detasympt import _barnes_block
 from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
                      d_coefficient_transcribed, horner, per_entry_table,
-                     string_coefficients_lu)
+                     string_coefficients_lu, _sigma_residual)
 
 CTX = NumericContext(digits=60)
 # no shrink or explain phase: a derandomized failure reproduces as found, and
@@ -192,6 +193,21 @@ def test_string_coefficients_match_lu_solve(params):
                 for got, want in ((even.symmetric[k], a), (even.alternating[k], b),
                                   (even.d[k], a + b), (odd.d[k], a - b)):
                     assert abs(got - want) <= tol * max(1, abs(want))
+
+
+@STRING
+@given(params=large_n_box)
+def test_string_coefficients_solve_the_dpi(params):
+    # the oracle's own residual series of the dP_I, fed the solved pairs, not a
+    # second solve: each order 1..7 vanishes to the digits asked for
+    for digits in (30, 60):
+        even = large_n_coefficients(params, "even", NumericContext(digits=digits))
+        pairs = list(zip(even.symmetric, even.alternating))
+        with mp.workdps(digits + 20):
+            residual = _sigma_residual(pairs, *params.mpfs())
+            for k, (a, b) in enumerate(pairs, start=1):
+                tol = mpf(10) ** -digits * max(1, abs(a), abs(b))
+                assert abs(residual[k][0]) <= tol and abs(residual[k][1]) <= tol, (k, digits)
 
 
 @BINOMIAL
