@@ -6,7 +6,8 @@ its predicted remainder order:
 1. s -> 0 with n, N fixed (``beta_small_s``): a series in s with prefactor
    sqrt(q_n)/(2N) and coefficients rational in (p_n, q_n, N).  The c2 and c3
    used here are the series solution of the verified second-order ODE; the
-   remainder is O(s^4).
+   remainder is O(s^4).  The coefficients do not depend on s, so one cached
+   evaluation per (n, alpha, N, digits) serves every s.
 
 2. n -> infinity with N fixed (``beta_large_n``): the string-equation
    expansion beta_m ~ C sqrt(m) (1 + sum_k d_k m^{-k/2}), C = 1/(2 sqrt(3 N s)),
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
 
 from mpmath import mp, mpf, mpmathify, sqrt
 
@@ -76,9 +76,21 @@ def small_s_coefficients(n: int, params: WeightParams,
             + 80NpQ - 48p^2 Q + 85NQ^2 - 125pQ^2 - 92Q^3) / (2N^3),
 
     with p = p_n = n + alpha (2 - 3 Delta_n) and Q = sqrt(q_n) = n + alpha Delta_n.
+    None of them reads s, so one cached evaluation per (n, alpha, N, digits)
+    serves every s.
     """
-    with mp.workdps(ctx.digits + 10):
-        _, a, N = params.mpfs()
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    return _small_s_series(n, params.alpha, params.big_n, ctx.digits)
+
+
+# Bounded so that long parameter sweeps cannot grow it without limit.
+@functools.lru_cache(maxsize=256)
+def _small_s_series(n: int, alpha: Fraction, big_n: Fraction,
+                    digits: int) -> SmallSCoefficients:
+    """The ``small_s_coefficients`` data, keyed by all it reads."""
+    with mp.workdps(digits + 10):
+        a, N = fraction_to_mpf(alpha), fraction_to_mpf(big_n)
         dn = delta_parity(n)
         p, Q = n + a * (2 - 3 * dn), n + a * dn
         c1 = (N - p - 2 * Q) / N
@@ -94,7 +106,7 @@ def small_s_coefficients(n: int, params: WeightParams,
 def beta_small_s(n: int, params: WeightParams,
                  ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """Small-s evaluation of beta_n; meaningful accuracy needs s <~ 0.05."""
-    if n == 0:
+    if n == 0:  # a negative n reaches small_s_coefficients, which rejects it
         return mp.zero
     data = small_s_coefficients(n, params, ctx)
     with mp.workdps(ctx.digits + 10):
@@ -128,11 +140,10 @@ class LargeNCoefficients:
 
 _ORDER = 7  # truncation order in t = n^{-1/2}
 
-# binomial(h/2, m) = prod_{i<m} (h - 2i) / (2^m m!), exactly, for the powers
-# (1 + eps t^2)^(h/2), h = 1 - k, k = 0.._ORDER, that beta_{n+-1} expands into.
-_BINOMIALS = {h: tuple(Fraction(prod(h - 2 * i for i in range(m)), 2 ** m * factorial(m))
-                       for m in range(_ORDER // 2 + 1))
-              for h in range(1, -_ORDER, -1)}
+# binomial(h/2, 2) = h (h - 2)/8, exactly, for the h = 1 - (k - 4), k = 4.._ORDER,
+# of the neighbour sum: m = 2 is the only even m >= 2 with 2m <= k <= _ORDER = 7
+# (an eighth order would add binomial(1/2, 4)).
+_BINOMIALS = {h: Fraction(h * (h - 2), 8) for h in range(1, 4 - _ORDER, -1)}
 
 
 def _solve_string_coefficients(s, alpha, N) -> list:
@@ -142,10 +153,11 @@ def _solve_string_coefficients(s, alpha, N) -> list:
     d_j of n's parity; the neighbours n +- 1 carry the other parity's d_j with
     (1 +- t^2)^{(1-j)/2} folded in, and in their sum the odd powers of +-t^2
     cancel, so the neighbour sum is the series ``triple`` with
-    triple_k = own_k + 2 sum_{m even} binomial((1 - (k - 2m))/2, m) other_{k-2m}.
-    The residual times t^2/C^2, C^2 = 1/(12 N s), is own * triple + u t own - 3
-    - 3 alpha Delta_n t^2 with u = (1-s)/(2s) / C.  Its t^k coefficient is
-    4 own_k + 2 other_k plus terms in the orders below k, which are final:
+    triple_k = own_k + 2 sum_{m even} binomial((1 - (k - 2m))/2, m) other_{k-2m},
+    where only m = 2 reaches t^7.  The residual times t^2/C^2, C^2 = 1/(12 N s),
+    is own * triple + u t own - 3 - 3 alpha Delta_n t^2 with u = (1-s)/(2s) / C.
+    Its t^k coefficient is 4 own_k + 2 other_k plus terms in the orders below k,
+    which are final:
     r_e = 6 a_k + 2 b_k + (lower) at an even n and r_o = 6 a_k - 2 b_k + (lower)
     at an odd n, so order k costs O(k) work and the pair follows exactly.
     """
@@ -153,9 +165,8 @@ def _solve_string_coefficients(s, alpha, N) -> list:
     alpha_terms = (0, 3 * alpha)  # index 0 is an even n, index 1 an odd n
     own, triple, pairs = ([mp.one], [mp.one]), ([3 * mp.one], [3 * mp.one]), []
     for k in range(1, _ORDER + 1):
-        binoms = [(m, fraction_to_mpf(_BINOMIALS[1 - (k - 2 * m)][m]))
-                  for m in range(2, k // 2 + 1, 2)]
-        tails = [2 * sum(c * own[1 - p][k - 2 * m] for m, c in binoms) for p in (0, 1)]
+        c = fraction_to_mpf(_BINOMIALS[5 - k]) if k >= 4 else 0
+        tails = [2 * (c * own[1 - p][k - 4]) if k >= 4 else 0 for p in (0, 1)]
         lower = [tails[p] + u * own[p][k - 1] - (alpha_terms[p] if k == 2 else 0)
                  + sum(own[p][i] * triple[p][k - i] for i in range(1, k)) for p in (0, 1)]
         a, b = -(lower[0] + lower[1]) / 12, -(lower[0] - lower[1]) / 4
@@ -294,6 +305,8 @@ def fluid_endpoint(n: int, params: WeightParams,
     """b^2 = [s - 1 + sqrt((1-s)^2 + 6 s mu/N)]/(3s) at mu = 2n + alpha, taken as
     the positive root of (3/2) N s x^2 + N (1-s) x = mu (``recurrence._positive_root``),
     which keeps every digit as s -> 0 and is mu/N at s = 0; a_mu = sqrt(b^2)."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if 2 * n + params.alpha <= 0:
         raise DomainError(f"mu = 2n + alpha must be positive, got {2 * n + params.alpha}")
     with mp.workdps(ctx.digits + 10):

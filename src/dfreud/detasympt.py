@@ -104,6 +104,8 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
 def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
                           betas: Optional[BetaSequence] = None) -> mpf:
     """The direct-summation form of D_n'/D_n (independent cross-check)."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if params.s == 0:
         raise DomainError("singular at s = 0")
     if betas is None:

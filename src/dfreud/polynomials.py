@@ -295,7 +295,10 @@ class HeunParameters:
 
 def heun_parameters(alpha, big_n, s, n: int,
                     ctx: NumericContext = _DEFAULT_CTX) -> HeunParameters:
-    """Heun limit; DomainError unless N s > 0 and (s, alpha, N) is a valid WeightParams."""
+    """Heun limit; DomainError unless n >= 0, N s > 0 and (s, alpha, N) is a valid
+    WeightParams."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     with mp.workdps(ctx.digits + 10):
         alpha, N, s = mpmathify(alpha), mpmathify(big_n), mpmathify(s)
         if N * s <= 0:

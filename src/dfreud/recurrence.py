@@ -116,6 +116,8 @@ def dpi_residual(betas: BetaSequence | Sequence, params: WeightParams) -> list:
 
 def beta_prime(n: int, betas, params: WeightParams) -> mpf:
     """beta_n'(s) from the differential-difference equation (needs beta_{n+-1})."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if params.s == 0:
         raise DomainError("beta_prime formula is singular at s = 0")
     s, a, N = params.mpfs()
@@ -209,6 +211,8 @@ def upper_bound(n: int, params: WeightParams, ctx: NumericContext = _DEFAULT_CTX
     """Closed-form upper bound 0 < beta_n < -(1-s)/(4s) + sqrt((...)^2 + l_n/(4Ns)):
     the dP_I without beta_{n+-1}, the positive root of
     4Ns x^2 + 2N(1-s) x = n + alpha Delta_n (``_positive_root``)."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if params.s == 0:
         raise DomainError("the bound is stated for s > 0")
     with mp.workdps(ctx.digits):

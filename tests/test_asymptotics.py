@@ -9,7 +9,34 @@ from dfreud import (NumericContext, WeightParams, DomainError,
                     beta_at_s0, beta_from_moments,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
                     beta_large_n, double_scaling_coefficients, beta_double_scaling,
-                    fluid_endpoint)
+                    fluid_endpoint, upper_bound, heun_parameters, beta_prime,
+                    beta_second, logdet_derivative_exact, logdet_derivative_sum)
+
+
+CTX30 = NumericContext(digits=30)
+
+
+@pytest.mark.parametrize("call, lowest", [
+    (lambda n, b: beta_small_s(n, WeightParams("0.01", 1, 1)), 0),
+    (lambda n, b: small_s_coefficients(n, WeightParams("0.01", 1, 1)), 0),
+    (lambda n, b: upper_bound(n, WeightParams("0.5", 0, 1)), 0),
+    (lambda n, b: fluid_endpoint(n, WeightParams("0.5", 3, 1)), 0),
+    (lambda n, b: heun_parameters(1, 1, "0.5", n), 0),
+    (lambda n, b: beta_prime(n, b, WeightParams("0.5", 1, 1)), 0),
+    (lambda n, b: beta_second(n, b, WeightParams("0.5", 1, 1)), 1),
+    (lambda n, b: logdet_derivative_exact(n, WeightParams("0.5", 1, 1), CTX30, b), 1),
+    (lambda n, b: logdet_derivative_sum(n, WeightParams("0.5", 1, 1), CTX30, b), 0),
+], ids=["beta_small_s", "small_s_coefficients", "upper_bound", "fluid_endpoint",
+        "heun_parameters", "beta_prime", "beta_second", "logdet_derivative_exact",
+        "logdet_derivative_sum"])
+def test_negative_n_rejected(call, lowest):
+    # n < 0 is no index; at these points each function used to return a value
+    # for it (a Python index wrapping round the betas, or a complex root)
+    betas = beta_from_moments(WeightParams("0.5", 1, 1), 6, CTX30)
+    call(lowest, betas)
+    for n in (-1, -2, -3, -4):
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            call(n, betas)
 
 
 class TestSmallS:
@@ -56,6 +83,21 @@ class TestSmallS:
             data = small_s_coefficients(6, WeightParams("0.01", "1.25", 1))
             assert abs(data.c[2] - mpf(6143) / 8) < mpf(10) ** -40
             assert abs(data.c[3] + mpf(609239) / 16) < mpf(10) ** -40
+
+    def test_one_series_per_n_alpha_big_n_digits(self):
+        # the coefficients do not read s: n = 1..20 at three s and two precisions
+        # evaluate the series once per (n, alpha, N, digits), 40 keys in all
+        asymptotics._small_s_series.cache_clear()
+        for digits in (30, 150):
+            ctx = NumericContext(digits=digits)
+            for s in ("1/100", "1/1000", 0):
+                params = WeightParams(s, "7/5", 2)
+                for n in range(1, 21):
+                    beta_small_s(n, params, ctx)
+        info = asymptotics._small_s_series.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (40, 80, 40)
+        assert (small_s_coefficients(5, WeightParams("1/1000", "1.4", 2))
+                is small_s_coefficients(5, WeightParams(0, "7/5", 2)))
 
     def test_remainder_is_fourth_order(self):
         # |series - exact| at s = 1e-3 is already dominated by the s^4 term
@@ -152,16 +194,13 @@ class TestLargeN:
             beta_large_n(10, WeightParams(0, 0, 1))
 
     def test_binomial_table_matches_mpmath(self):
-        # every h = 1 - k, k = 0..7, of the (1 + eps t^2)^(h/2) that beta_{n+-1}
-        # expands into, each entry binomial(h/2, m) for m <= 3, so that
-        # t^k (1 + eps t^2)^(h/2) reaches t^7
-        assert set(asymptotics._BINOMIALS) == set(range(1, -7, -1))
+        # the neighbour sum reads binomial(h/2, 2) for h = 1, 0, -1, -2 only: m = 2
+        # is the one even m >= 2 with 2m <= k <= 7, and h = 1 - (k - 4)
+        assert set(asymptotics._BINOMIALS) == {1, 0, -1, -2}
         with mp.workdps(80):
-            for h, row in asymptotics._BINOMIALS.items():
-                assert len(row) == 4
-                for m, c in enumerate(row):
-                    want = binomial(mpf(h) / 2, m)
-                    assert abs(fraction_to_mpf(c) - want) <= mpf(10) ** -79 * max(1, abs(want))
+            for h, c in asymptotics._BINOMIALS.items():
+                want = binomial(mpf(h) / 2, 2)
+                assert abs(fraction_to_mpf(c) - want) <= mpf(10) ** -79 * max(1, abs(want))
 
     def test_one_solve_per_point_for_both_parities(self, monkeypatch):
         # one string solve yields both parities: n = 1..40 and repeated lookups of

@@ -24,6 +24,10 @@
   parities at 30 and 50 digits, the large-n string coefficients and beta_n
   match that reference and an fsum of fractional powers, to
   10^-(digits+5) of the size of the terms each one sums.
+* Over s in [1/10000, 1], alpha in (-1, 5], N in [1/4, 50], as exact
+  decimals and as the binary values of their floats, n <= 24 and 30, 60 and
+  150 digits, ``beta_small_s`` returns the same bits whether its coefficients
+  come from a cold cache or from one filled at s/10 under another precision.
 * Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
   D(s) from the log-derivative slices matches the transcribed polynomials of
   both parities.
@@ -41,7 +45,8 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
                     beta1_initial, dpi_forward, orthogonality_check, upper_bound,
                     large_n_coefficients, appendix_b_coefficients, build_polynomials,
-                    eval_poly, beta_large_n)
+                    eval_poly, beta_large_n, beta_small_s)
+from dfreud.asymptotics import _small_s_series
 from dfreud.detasympt import _barnes_block
 from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
                      d_coefficient_transcribed, horner, per_entry_table,
@@ -62,6 +67,7 @@ STRING = settings(PROPERTY, max_examples=3)
 BINOMIAL = settings(PROPERTY, max_examples=6)
 D_COEFFICIENT = settings(PROPERTY, max_examples=50)
 POLYNOMIAL = settings(PROPERTY, max_examples=40)
+SMALL_S = settings(PROPERTY, max_examples=100)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -73,6 +79,7 @@ n_range = st.integers(min_value=2, max_value=8)
 small_s = st.builds(lambda m, e: Fraction(m, 10 ** e), st.integers(1, 100), st.integers(2, 4))
 big_ns = st.fractions(min_value=Fraction(1, 4), max_value=50, max_denominator=100)
 full_box = st.builds(WeightParams, small_s, alphas, big_ns)
+float_box = st.builds(WeightParams, small_s.map(float), alphas.map(float), big_ns.map(float))
 downward_box = st.builds(
     WeightParams,
     st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000),
@@ -230,6 +237,20 @@ def test_large_n_matches_mpmath_binomials_and_fsum(params, n, digits):
             # relative to the size of the terms the sum adds: |d_k| in place of d_k
             size = beta_large_n_fsum(m, params, [(abs(a + b * sign), 0) for a, b in pairs])
             assert abs(beta_large_n(m, params, ctx) - want) <= tol * size
+
+
+@SMALL_S
+@given(params=st.one_of(full_box, float_box), n=st.integers(min_value=0, max_value=24),
+       digits=st.sampled_from((30, 60, 150)))
+def test_small_s_warm_cache_returns_cold_bits(params, n, digits):
+    ctx = NumericContext(digits=digits)
+    _small_s_series.cache_clear()
+    with mp.workdps(20):
+        cold = beta_small_s(n, params, ctx)._mpf_
+    _small_s_series.cache_clear()
+    with mp.workdps(200):  # fill the cache at s/10, under another working precision
+        beta_small_s(n, WeightParams(params.s / 10, params.alpha, params.big_n), ctx)
+    assert beta_small_s(n, params, ctx)._mpf_ == cold
 
 
 @D_COEFFICIENT
