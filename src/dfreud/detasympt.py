@@ -32,12 +32,15 @@ and integrating over s in [0, 1] connects D_n(1) to the exactly known D_n(0).
 ``logdet_expansion`` evaluates the large-n displays for log(D_n(1)/D_n(0)),
 log D_n(0) and log D_n(1) through their 1/n terms, with Barnes-G constant
 blocks; Barnes G and the Glaisher constant A come from mpmath (``barnesg``,
-``mp.glaisher``).  The n-linear coefficients of the ratio and of log D_n(1) are
+``mp.glaisher``).  The block depends on alpha and the precision alone, so one
+cached value per (alpha, ctx), bounded to 256 keys, serves every n and both
+displays that read it.  alpha <= -1 raises DomainError.  The n-linear coefficients of the ratio and of log D_n(1) are
 parity-independent (the even-parity variants confirmed against exact
 determinant data), while the 1/n terms do alternate with parity.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -234,12 +237,18 @@ class LogDetExpansion:
                 "1": self.const, "1/n": self.invn}
 
 
+@functools.lru_cache(maxsize=256)
 def _barnes_block(alpha, ctx: NumericContext) -> mpf:
     """log[ G(3/2) G(1/2) / (G((alpha+3)/2) G((alpha+1)/2)) ] by one Barnes G call, from
-    G(z+1) = Gamma(z) G(z) and G(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2), A = Glaisher."""
-    z = (alpha + 1) / 2
-    return (log(mpf(2)) / 12 + mpf(1) / 4 - 3 * log(mp.glaisher)
-            - 2 * barnes_g_log(z, ctx) - loggamma(z))
+    G(z+1) = Gamma(z) G(z) and G(1/2) = 2^(1/24) e^(1/8) pi^(-1/4) A^(-3/2), A = Glaisher.
+
+    Evaluated at ctx.digits + 10, the precision of the displays, so one cached
+    value per (alpha, ctx) serves the D0 and D1 displays at every n.
+    """
+    with mp.workdps(ctx.digits + 10):
+        z = (alpha + 1) / 2
+        return (log(mpf(2)) / 12 + mpf(1) / 4 - 3 * log(mp.glaisher)
+                - 2 * barnes_g_log(z, ctx) - loggamma(z))
 
 
 def _display_terms(quantity: Quantity, lr, alpha, even: bool, ctx: NumericContext) -> tuple:
@@ -284,6 +293,8 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
         r, alpha = mpmathify(r), mpmathify(alpha)
         if not (0 < r <= 1):
             raise DomainError("r must lie in (0, 1]")
+        if not (alpha > -1):
+            raise DomainError(f"alpha must exceed -1, got {alpha}")
         n2, n1, lgn, const, invn = _display_terms(quantity, log(r), alpha,
                                                   parity == "even", ctx)
         nm = mpf(n)

@@ -22,8 +22,9 @@ DFREUD_MAX_DIGITS (default 2000), read at every ``h_sequence`` call, so it caps
 every Hankel computation in the package.
 
 ``mehta_normand_logD0`` is the exact closed form of log D_n(0) (a product of
-Gamma factors, valid for every n), used as the finite-n anchor for the
-determinant asymptotics.
+Gamma factors, valid for every n; the factors of j = 2m and 2m + 1 share their
+Gamma pair, evaluated once), used as the finite-n anchor for the determinant
+asymptotics.
 """
 from __future__ import annotations
 
@@ -151,16 +152,20 @@ def mehta_normand_logD0(n: int, alpha, big_n, ctx: NumericContext) -> mpf:
         D_n(0) = (2 pi)^(n/2) / ( (2N)^(n^2/2) N^(alpha n / 2) Gamma(n+1) )
                  * prod_{j=1}^{n} Gamma((alpha+1)/2 + floor(j/2))
                                   / Gamma(1/2 + floor(j/2)) * j!
+
+    The two Gamma factors of one half-index m = floor(j/2) serve j = 2m and
+    2m + 1, so each is evaluated once.  DomainError unless n >= 1 and
+    (0, alpha, N) is a valid ``WeightParams``: alpha > -1 and N > 0.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    WeightParams(0, alpha, big_n)      # DomainError for alpha <= -1 or N <= 0
     with mp.workdps(ctx.digits + 15):
         a, N = mpmathify(alpha), mpmathify(big_n)
         total = (mpf(n) / 2 * log(2 * pi) - mpf(n) ** 2 / 2 * log(2 * N)
                  - a * n / 2 * log(N) - loggamma(n + 1).real)
-        for j in range(1, n + 1):
-            half = j // 2
-            total += (loggamma((a + 1) / 2 + half).real
-                      - loggamma(mpf(1) / 2 + half).real
-                      + loggamma(j + 1).real)
+        for m in range(n // 2 + 1):
+            ratio = loggamma((a + 1) / 2 + m).real - loggamma(mpf(1) / 2 + m).real
+            for j in range(max(2 * m, 1), min(2 * m + 1, n) + 1):
+                total += ratio + loggamma(j + 1).real
         return +total

@@ -38,6 +38,10 @@ from .numerics import (NumericContext, DomainError, to_fraction, fraction_to_mpf
                        exp_exp_moments)
 
 
+#: working precisions whose (s, alpha, N) triple one ``WeightParams`` keeps.
+_MPFS_KEPT = 8
+
+
 @dataclass(frozen=True)
 class WeightParams:
     """The triple (s, alpha, N) defining the deformed Freud weight.
@@ -71,10 +75,21 @@ class WeightParams:
     def __hash__(self) -> int:
         return self._hash
 
+    # The identity oracles ask for the same triple at every node and index, and
+    # each conversion divides three pairs of integers, so the triple is kept per
+    # precision in bits: at most _MPFS_KEPT of them, the oldest dropped first.
+    @cached_property
+    def _mpfs_by_prec(self) -> dict:
+        return {}
+
     def mpfs(self) -> tuple[mpf, mpf, mpf]:
         """(s, alpha, N) as mpf at the current working precision."""
-        return (fraction_to_mpf(self.s), fraction_to_mpf(self.alpha),
-                fraction_to_mpf(self.big_n))
+        memo, prec = self._mpfs_by_prec, mp.prec
+        if prec not in memo:
+            if len(memo) >= _MPFS_KEPT:
+                del memo[next(iter(memo))]
+            memo[prec] = tuple(fraction_to_mpf(x) for x in (self.s, self.alpha, self.big_n))
+        return memo[prec]
 
     def weight(self, x) -> mpf:
         """Evaluate the weight w(x) at the current working precision."""

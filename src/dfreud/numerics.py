@@ -146,17 +146,18 @@ def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
         p = mpmathify(p)
         if p <= -1:
             raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
-        sums, d_ln10 = [mp.zero] * count, mp.dps * log(10)
-        t_max = {1: int(8 * d_ln10) + 2, -1: int(log(max(d_ln10 / (p + 1), 1))) + 2}
+        sums, d_ln10, p1, eps = [mp.zero] * count, mp.dps * log(10), p + 1, mp.eps
+        t_max = {1: int(8 * d_ln10) + 2, -1: int(log(max(d_ln10 / p1, 1))) + 2}
 
         def add(t, e, sign, test=True) -> bool:
             """Add the node sign t, e = exp(t), to ``sums``; with ``test``, whether it added."""
-            u, du = (t - 1 / e, 1 + 1 / e) if sign > 0 else (-t - e, 1 + e)
+            w = 1 / e if sign > 0 else e
+            u, du = sign * t - w, 1 + w
             y, added = exp(u), False
-            b = exp((p + 1) * u - g(y)) * du
+            b = exp(p1 * u - g(y)) * du
             for k in range(count):
                 sums[k] += b
-                added = added or (test and b > mp.eps * sums[k])
+                added = added or (test and b > eps * sums[k])
                 b *= y
             return added
 

@@ -26,6 +26,7 @@ the sign convention).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -100,11 +101,15 @@ class LadderPair:
     v0_prime: mpf
 
 
-def _constants(params: WeightParams, z) -> tuple:
-    """(4 N s, 2 N (1-s), alpha, v_0'(z)) at the working precision: all A_j, B_j use."""
+def _constants(params: WeightParams) -> tuple:
+    """(4 N s, 2 N (1-s), alpha) at the working precision: all A_j, B_j use."""
     s, a, N = params.mpfs()
-    c, v = 4 * N * s, 2 * N * (1 - s)
-    return c, v, a, c * z ** 3 + v * z
+    return 4 * N * s, 2 * N * (1 - s), a
+
+
+def _v0_prime(c, v, z) -> mpf:
+    """v_0'(z) = 4 N s z^3 + 2 N (1-s) z from the first two ``_constants``."""
+    return c * z ** 3 + v * z
 
 
 def _alpha_over_z(a, z) -> mpf:
@@ -116,27 +121,34 @@ def _alpha_over_z(a, z) -> mpf:
     return a / z
 
 
-def _ladder(j: int, z, c, v, a, betas) -> tuple:
-    """(A_j(z), B_j(z)) from ``_constants``; the alpha/z term of B_j exists iff j is odd."""
+def _a_j(j: int, c, v, cz2, betas) -> mpf:
+    """A_j(z) from ``_constants`` and cz2 = 4 N s z^2."""
+    return cz2 + c * (betas[j + 1] + betas[j]) + v
+
+
+def _ladder(j: int, z, c, v, a, cz2, betas) -> tuple:
+    """(A_j(z), B_j(z)) from ``_constants`` and cz2 = 4 N s z^2; the alpha/z term of
+    B_j exists iff j is odd."""
     _check_index(j, betas, lowest=0)
     b_j = c * betas[j] * z
     if j % 2 == 1:
         b_j += _alpha_over_z(a, z)
-    return c * z * z + c * (betas[j + 1] + betas[j]) + v, b_j
+    return _a_j(j, c, v, cz2, betas), b_j
 
 
 def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
     """Closed-form A_n(z), B_n(z), n >= 0; the 1/z term of B_n exists iff n is odd."""
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        c, v, a, v0p = _constants(params, z)
-        a_n, b_n = _ladder(n, z, c, v, a, betas)
-        return LadderPair(a_n=a_n, b_n=b_n, v0_prime=v0p)
+        c, v, a = _constants(params)
+        a_n, b_n = _ladder(n, z, c, v, a, c * z * z, betas)
+        return LadderPair(a_n=a_n, b_n=b_n, v0_prime=_v0_prime(c, v, z))
 
 
 def _lowering(n: int, z, params: WeightParams, betas, p_prev, p, dp) -> tuple:
     """(P_n' - [beta_n A_n P_{n-1} - B_n P_n], A_n) at z from the recurrence values."""
-    a_n, b_n = _ladder(n, z, *_constants(params, z)[:3], betas)
+    c, v, a = _constants(params)
+    a_n, b_n = _ladder(n, z, c, v, a, c * z * z, betas)
     return dp - (betas[n] * a_n * p_prev - b_n * p), a_n
 
 
@@ -177,18 +189,20 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
     (S1):  B_{n+1} + B_n = z A_n - v_0' + alpha/z
     (S2):  1 + z (B_{n+1} - B_n) = beta_{n+1} A_{n+1} - beta_n A_{n-1}
     (S2'): B_n^2 + (v_0' - alpha/z) B_n + sum_{j<n} A_j = beta_n A_n A_{n-1}
+
+    Only B_n and B_{n+1} are formed; the sum in (S2') reads A_0..A_{n-1} alone.
     """
     _check_index(n, betas)
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        c, v, a, v0p = _constants(params, z)
-        a_over_z = _alpha_over_z(a, z)
-        ab = [_ladder(j, z, c, v, a, betas) for j in range(n + 2)]
-        (a_prev, _), (a_n, b_n), (a_next, b_next) = ab[n - 1], ab[n], ab[n + 1]
+        c, v, a = _constants(params)
+        cz2, v0p, a_over_z = c * z * z, _v0_prime(c, v, z), _alpha_over_z(a, z)
+        (a_n, b_n), (a_next, b_next) = (_ladder(j, z, c, v, a, cz2, betas) for j in (n, n + 1))
+        a_below = [_a_j(j, c, v, cz2, betas) for j in range(n)]
         r_s1 = (b_next + b_n) - (z * a_n - v0p + a_over_z)
-        r_s2 = 1 + z * (b_next - b_n) - (betas[n + 1] * a_next - betas[n] * a_prev)
-        r_s2p = (b_n ** 2 + (v0p - a_over_z) * b_n + fsum(a_j for a_j, _ in ab[:n])
-                 - betas[n] * a_n * a_prev)
+        r_s2 = 1 + z * (b_next - b_n) - (betas[n + 1] * a_next - betas[n] * a_below[-1])
+        r_s2p = (b_n ** 2 + (v0p - a_over_z) * b_n + fsum(a_below)
+                 - betas[n] * a_n * a_below[-1])
         return r_s1, r_s2, r_s2p
 
 
@@ -205,6 +219,14 @@ class OdeCoefficients:
     q_n: mpf
 
 
+@functools.lru_cache(maxsize=64)
+def _pole_guard(half_digits: int, prec: int) -> mpf:
+    """10^-half_digits rounded to ``prec`` bits: the distance to a pole that
+    ``ode_coefficients`` refuses."""
+    with mp.workprec(prec):
+        return mpf(10) ** -half_digits
+
+
 def ode_coefficients(n: int, z, params: WeightParams, betas,
                      ctx: Optional[NumericContext] = None) -> OdeCoefficients:
     """Closed-form R_n(z), Q_n(z); raises PoleError near the movable pole."""
@@ -212,12 +234,12 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
     digits = ctx.digits if ctx is not None else mp.dps
     with mp.workdps(_work_dps(betas)):
         z = mpmathify(z)
-        c, v, a, v0p = _constants(params, z)
+        c, v, a = _constants(params)
         if c == 0:
             raise DomainError("the z-ODE coefficients are stated for s > 0")
         u = v / c       # (1-s)/(2s)
         pole = z * z + u + betas[n] + betas[n + 1]
-        threshold = mpf(10) ** (-(digits // 2))
+        threshold = _pole_guard(digits // 2, mp.prec)
         for denom in (pole, z) if a != 0 else (pole,):
             if abs(denom) < threshold:
                 raise PoleError(f"denominator {denom} within pole guard")
@@ -226,7 +248,7 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
         # Q_n are regular at z = 0
         a_over_z = _alpha_over_z(a, z)
         a_odd = a * (1 - sgn) * (v + 1 / (z * z)) / 2 if a != 0 else mp.zero
-        r_n = a_over_z - v0p - 2 * z / pole
+        r_n = a_over_z - _v0_prime(c, v, z) - 2 * z / pole
         q_n = (c * betas[n] * (1 + a * sgn)
                + c * c * betas[n] * (u + betas[n] + betas[n - 1]) * (u + betas[n] + betas[n + 1])
                - a_odd
@@ -309,8 +331,8 @@ def heun_parameters(alpha, big_n, s, n: int,
 
         def r_tilde(z):
             z = mpmathify(z)
-            *_, a, v0p = _constants(params, z)
-            return _alpha_over_z(a, z) - v0p
+            c, v, a = _constants(params)
+            return _alpha_over_z(a, z) - _v0_prime(c, v, z)
 
         return HeunParameters(kappa=+kappa,
                               gamma_h=-(1 + alpha) / 2,

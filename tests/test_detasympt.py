@@ -243,3 +243,11 @@ class TestLogDetExpansion:
             logdet_expansion("D0", 10, "1.5", 1)
         with pytest.raises(DomainError):
             logdet_expansion("bogus", 10, 1, 1)
+
+    @pytest.mark.parametrize("quantity", ["ratio_10", "D0", "D1"])
+    @pytest.mark.parametrize("alpha", [-1, -3, "-1.5"])
+    def test_alpha_at_or_below_minus_one(self, quantity, alpha):
+        # ratio_10 returned a value (10.11... at alpha = -1, 9.729... at -3); D0
+        # and D1 failed inside barnes_g_log with "requires z > 0", naming no alpha
+        with pytest.raises(DomainError, match="alpha must exceed -1"):
+            logdet_expansion(quantity, 10, 1, alpha)

@@ -159,6 +159,17 @@ class TestMehtaNormand:
             assert_close(mehta_normand_logD0(3, 0, 1, ctx60),
                          log(pi ** mpf(1.5) / 4), mpf(10) ** -55, dps=80)
 
+    @pytest.mark.parametrize("alpha, big_n, match", [
+        ("-1.5", 1, "alpha"),           # returned 3.6888...
+        (-1, 1, "alpha"),               # raised ValueError("gamma function pole")
+        (-3, 1, "alpha"),               # raised ValueError("gamma function pole")
+        (0, -2, "N must be positive"),  # returned a complex number
+        (0, 0, "N must be positive"),   # returned nan
+    ])
+    def test_outside_the_weight_domain(self, ctx60, alpha, big_n, match):
+        with pytest.raises(DomainError, match=match):
+            mehta_normand_logD0(6, alpha, big_n, ctx60)
+
     def test_route_agreement(self, ctx60):
         # |log D_n(0) from pivots - closed form| < 10^{-digits/2}, n <= 20
         for alpha in ("0", "1", "2.5"):

@@ -8,6 +8,7 @@ from mpmath import mp, mpf, mpmathify, sqrt, pi, gamma
 
 from dfreud import (NumericContext, WeightParams, DomainError, mu0,
                     moment_table, exp_exp_moments, moments)
+from dfreud.numerics import fraction_to_mpf
 from conftest import assert_close
 from oracles import parabolic_cylinder_D_integral
 
@@ -32,6 +33,7 @@ class TestWeightParams:
         fresh = WeightParams("1/2", 1, 1)
         copies = [copy.copy(fresh), pickle.loads(pickle.dumps(fresh))]
         hash(fresh)
+        fresh.mpfs()
         copies += [copy.copy(fresh), pickle.loads(pickle.dumps(fresh))]
         for p in spellings + copies:
             assert p == spellings[0] and hash(p) == want
@@ -40,6 +42,18 @@ class TestWeightParams:
         assert WeightParams("1/2", 2, 1) != spellings[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             spellings[0].s = Fraction(1, 3)
+
+        # the per-precision mpf memo travels with a copy or a pickle and still
+        # answers at every precision with the bits of a fresh conversion
+        inexact = WeightParams("1/3", "0.1", "7/10")
+        with mp.workprec(100):
+            inexact.mpfs()
+        for p in (inexact, copy.copy(inexact), pickle.loads(pickle.dumps(inexact))):
+            assert p == inexact and hash(p) == hash((p.s, p.alpha, p.big_n))
+            for prec in (100, 200, 100):
+                with mp.workprec(prec):
+                    assert ([x._mpf_ for x in p.mpfs()]
+                            == [fraction_to_mpf(x)._mpf_ for x in (p.s, p.alpha, p.big_n)])
 
 
 class TestMu0Quadrature:

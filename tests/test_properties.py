@@ -28,6 +28,12 @@
   decimals and as the binary values of their floats, n <= 24 and 30, 60 and
   150 digits, ``beta_small_s`` returns the same bits whether its coefficients
   come from a cold cache or from one filled at s/10 under another precision.
+* Over s in [1/10000, 1], alpha in (-1, 5] and N in [1/4, 50] as exact
+  rationals, ``WeightParams.mpfs`` returns the bits of a fresh conversion at
+  the working precision, whichever precisions it was asked at before.
+* Over alpha in (-1, 5], n <= 30 and 30, 60 and 150 digits, the D0 and D1
+  displays and ``mehta_normand_logD0`` at n and 2n give the same bits from a
+  cold Barnes-block cache as from one filled at another n and precision.
 * Over s in [1/100, 1], r in (0, 1], alpha in (-1, 5] at 30 and 60 digits,
   D(s) from the log-derivative slices matches the transcribed polynomials of
   both parities.
@@ -45,9 +51,11 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
                     logdet_derivative_exact, logdet_derivative_sum, moment_table,
                     beta1_initial, dpi_forward, orthogonality_check, upper_bound,
                     large_n_coefficients, appendix_b_coefficients, build_polynomials,
-                    eval_poly, beta_large_n, beta_small_s)
+                    eval_poly, beta_large_n, beta_small_s, logdet_expansion,
+                    mehta_normand_logD0)
 from dfreud.asymptotics import _small_s_series
 from dfreud.detasympt import _barnes_block
+from dfreud.numerics import fraction_to_mpf
 from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
                      d_coefficient_transcribed, horner, per_entry_table,
                      string_coefficients_lu, _sigma_residual)
@@ -68,6 +76,8 @@ BINOMIAL = settings(PROPERTY, max_examples=6)
 D_COEFFICIENT = settings(PROPERTY, max_examples=50)
 POLYNOMIAL = settings(PROPERTY, max_examples=40)
 SMALL_S = settings(PROPERTY, max_examples=100)
+MEMO = settings(PROPERTY, max_examples=100)
+LOGD0 = settings(PROPERTY, max_examples=25)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -251,6 +261,51 @@ def test_small_s_warm_cache_returns_cold_bits(params, n, digits):
     with mp.workdps(200):  # fill the cache at s/10, under another working precision
         beta_small_s(n, WeightParams(params.s / 10, params.alpha, params.big_n), ctx)
     assert beta_small_s(n, params, ctx)._mpf_ == cold
+
+
+#: working precisions in bits, more than one WeightParams keeps; 53/54, 106/107
+#: and 333/334 share a decimal precision, so a memo keyed on mp.dps is caught too
+PRECS = (53, 54, 106, 107, 200, 333, 334, 1000, 2000, 2001)
+
+
+@MEMO
+@given(params=full_box, precs=st.lists(st.sampled_from(PRECS), min_size=2, max_size=30))
+def test_mpfs_memo_returns_fresh_bits(params, precs):
+    for prec in precs:
+        with mp.workprec(prec):
+            got = params.mpfs()
+            want = [fraction_to_mpf(x) for x in (params.s, params.alpha, params.big_n)]
+        assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+
+
+@LOGD0
+@given(alpha=alphas, n=st.integers(min_value=1, max_value=30),
+       digits=st.sampled_from((30, 60, 150)))
+def test_logd0_warm_cache_returns_cold_bits(alpha, n, digits):
+    ctx = NumericContext(digits=digits)
+    with mp.workdps(digits + 10):
+        a = mpf(alpha.numerator) / alpha.denominator
+
+    def bits(before_each) -> list:
+        out = []
+        for m in (n, 2 * n):
+            for quantity in ("D0", "D1"):
+                before_each()
+                out.append(logdet_expansion(quantity, m, 1, a, None, ctx).value._mpf_)
+            before_each()
+            out.append(mehta_normand_logD0(m, a, m, ctx)._mpf_)
+        return out
+
+    def fill():  # at another n and precision, under 200 ambient digits
+        with mp.workdps(200):
+            for other in (NumericContext(digits=45), ctx):
+                logdet_expansion("D0", n + 1, 1, a, None, other)
+
+    with mp.workdps(20):
+        cold = bits(_barnes_block.cache_clear)
+    hits = _barnes_block.cache_info().hits
+    assert bits(fill) == cold
+    assert _barnes_block.cache_info().hits > hits
 
 
 @D_COEFFICIENT
