@@ -90,10 +90,14 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
     as N^2 t2 + N t1 + t0 (``_logdet_slices`` at r = n/N) plus the
     beta_n'-terms (``_logdet_beta_prime_term``).  Requires
     s > 0; beta_n and its neighbours come from the Hankel route and beta_n'
-    from the differential-difference equation.
+    from the differential-difference equation.  D_0 = 1, so n = 0 gives 0.
     """
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if params.s == 0:
         raise DomainError("the closed form is singular at s = 0")
+    if n == 0:
+        return mp.zero
     if betas is None:
         betas = beta_from_moments(params, n + 1, ctx)
     with mp.workdps(betas.digits_used):
@@ -106,11 +110,13 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
 
 def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
                           betas: Optional[BetaSequence] = None) -> mpf:
-    """The direct-summation form of D_n'/D_n (independent cross-check)."""
+    """The direct-summation form of D_n'/D_n (independent cross-check); 0 at n = 0."""
     if n < 0:
         raise DomainError("n must be >= 0")
     if params.s == 0:
         raise DomainError("singular at s = 0")
+    if n == 0:
+        return mp.zero
     if betas is None:
         betas = beta_from_moments(params, n, ctx)
     with mp.workdps(betas.digits_used):

@@ -18,16 +18,23 @@ Provided here:
 * ``exp_exp_moments`` -- the moments int_0^inf y^(p+k) exp(-g(y)) dy, k < count,
   p > -1, from one exp-exp (double-exponential, Takahasi & Mori 1974) trapezoid
   whose nodes all the moments share; the endpoint behaviour y^p needs no substitution.
+  The map half of each node, (u, du, y), depends on the working precision alone and
+  is kept in a bounded store per precision in bits (``_node_store``: the last four
+  precisions, ``_NODE_BUDGET`` nodes each); the results keep the bits of forming
+  every node afresh.
 * ``central_difference`` -- fourth-order central stencils, used only as an
   independent oracle for analytic derivative formulas elsewhere.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from mpmath import mp, mpf, mpmathify, log, exp, barnesg
+from mpmath import mp, mpf, mpmathify, log, barnesg
+from mpmath.libmp import (fone, fzero, from_man_exp, mpf_add, mpf_div, mpf_exp, mpf_gt,
+                         mpf_mul, mpf_neg, mpf_shift, mpf_sub)
 
 
 class DomainError(ValueError):
@@ -79,7 +86,7 @@ def fraction_to_mpf(x: Fraction) -> mpf:
 class NumericContext:
     """Working precision and the tolerance policy derived from it.
 
-    digits     : decimal working precision (>= 30).
+    digits     : decimal working precision, an integer >= 30.
     quad_tol   : relative agreement of successive quadrature levels, 10**(-digits+10).
     diff_step  : relative step for central differences, 10**(-max(2, digits//5)),
                  which balances the h**4 truncation error of the fourth-order
@@ -89,6 +96,8 @@ class NumericContext:
     digits: int = 60
 
     def __post_init__(self):
+        if not isinstance(self.digits, int):
+            raise DomainError(f"digits must be an integer, got {self.digits!r}")
         if self.digits < 30:
             raise DomainError(f"digits must be >= 30, got {self.digits}")
 
@@ -125,6 +134,39 @@ def barnes_g_log(z, ctx: NumericContext) -> mpf:
 # quadrature
 # ---------------------------------------------------------------------------
 
+#: nodes kept per working precision, the first formed (coarse levels come first)
+_NODE_BUDGET = 2048
+
+
+@functools.lru_cache(maxsize=4)
+def _node_store(prec: int) -> dict:
+    """{(level, index, sign): (u, du, y)}: the exp-exp nodes formed at ``prec`` bits,
+    for the four precisions used last."""
+    return {}
+
+
+def _node(level: int, index: int, sign: int, e=None) -> tuple:
+    """(u, du, y) of the exp-exp node sign t, t = index 2^-level, at the working precision.
+
+    u = sign t - w, du = 1 + w and y = exp(u), w = e^-sign, from e = exp(t) (None: formed
+    here), as libmp tuples.  They depend on the precision alone, never on the integrand,
+    so ``_node_store`` keeps them while its budget lasts; nodes past it are formed anew.
+    """
+    prec, rnd = mp._prec_rounding
+    store = _node_store(prec)
+    node = store.get((level, index, sign))
+    if node is None:
+        t = from_man_exp(index, -level)
+        if e is None:
+            e = mpf_exp(t, prec, rnd)
+        w = mpf_div(fone, e, prec, rnd) if sign > 0 else e
+        u = mpf_sub(t if sign > 0 else mpf_neg(t), w, prec, rnd)
+        node = u, mpf_add(w, fone, prec, rnd), mpf_exp(u, prec, rnd)
+        if len(store) < _NODE_BUDGET:
+            store[level, index, sign] = node
+    return node
+
+
 def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
     """[int_0^inf y^(p+k) exp(-g(y)) dy for k < count] from one exp-exp trapezoid.
 
@@ -137,51 +179,61 @@ def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
     outermost node that added more than that at any coarser level (the centre can be
     negligible before the mass, so a negligible node ends no side), until two levels
     agree to ``ctx.quad_tol`` in every moment; the level cap grows with log2(digits).
-    Raises DomainError for p <= -1, and IntegrationError when the levels disagree at
-    the cap or a tail still adds past its bound (D the working digits): y^(p+1) < 10^-D
-    on the left once (p+1)(|t| + e^|t|) > D ln 10; the right tail decays only through
-    g and is walked to y = 10^(8D), which for g = N y covers N down to 10^(2 - 8D).
+    Raises DomainError for p <= -1 or count < 1, and IntegrationError when the levels
+    disagree at the cap or a tail still adds past its bound (D the working digits):
+    y^(p+1) < 10^-D on the left once (p+1)(|t| + e^|t|) > D ln 10; the right tail
+    decays only through g and is walked to y = 10^(8D), which for g = N y covers N
+    down to 10^(2 - 8D).
+
+    The map half of a node, (u, du, y), depends on the working precision alone, so
+    it comes from ``_node_store`` when formed before; the sums run on libmp values
+    at the context's precision and rounding, with the same operations in the same
+    order, so every result has the bits of forming each node afresh.
     """
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     with mp.workdps(ctx.digits + 10):
         p = mpmathify(p)
         if p <= -1:
             raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
-        sums, d_ln10, p1, eps = [mp.zero] * count, mp.dps * log(10), p + 1, mp.eps
+        d_ln10, p1 = mp.dps * log(10), p + 1
         t_max = {1: int(8 * d_ln10) + 2, -1: int(log(max(d_ln10 / p1, 1))) + 2}
+        prec, rnd = mp._prec_rounding
+        make, p1, eps, sums = mp.make_mpf, p1._mpf_, mp.eps._mpf_, [fzero] * count
 
-        def add(t, e, sign, test=True) -> bool:
-            """Add the node sign t, e = exp(t), to ``sums``; with ``test``, whether it added."""
-            w = 1 / e if sign > 0 else e
-            u, du = sign * t - w, 1 + w
-            y, added = exp(u), False
-            b = exp(p1 * u - g(y)) * du
+        def add(level, index, sign, e=None, test=True) -> bool:
+            """Add the node of ``_node(level, index, sign, e)`` to ``sums``; with ``test``,
+            whether it added."""
+            u, du, y = _node(level, index, sign, e)
+            x = (make(mpf_mul(p1, u, prec, rnd)) - g(make(y)))._mpf_
+            b, added = mpf_mul(mpf_exp(x, prec, rnd), du, prec, rnd), False
             for k in range(count):
-                sums[k] += b
-                added = added or (test and b > eps * sums[k])
-                b *= y
+                sums[k] = mpf_add(sums[k], b, prec, rnd)
+                added = added or (test and mpf_gt(b, mpf_mul(eps, sums[k], prec, rnd)))
+                b = mpf_mul(b, y, prec, rnd)
             return added
 
-        add(mp.zero, mp.one, 1)
+        add(0, 0, 1)
         reach = {1: 0, -1: 0}       # the outermost node that added, in units of h
         for sign in reach:
             for j in range(1, t_max[sign] + 1):
-                if not add(mpf(j), exp(j), sign):
+                if not add(0, j, sign):
                     break
                 reach[sign] = j
             else:
                 raise IntegrationError(f"integrand does not decay by t = {sign * t_max[sign]}")
 
-        h, estimate, tol = mp.one, list(sums), fraction_to_mpf(ctx.quad_tol)
-        for _ in range(1, ctx.digits.bit_length() + 5):
-            h /= 2
+        estimate, tol = [make(a) for a in sums], fraction_to_mpf(ctx.quad_tol)
+        for level in range(1, ctx.digits.bit_length() + 5):
             reach = {sign: 2 * r for sign, r in reach.items()}
-            e, step = exp(h), exp(2 * h)
+            h = from_man_exp(1, -level)
+            e, step = mpf_exp(h, prec, rnd), mpf_exp(mpf_shift(h, 1), prec, rnd)
             for m in range(1, max(reach.values()) + 2, 2):    # odd m, m h <= reach + 2h
                 for sign, r in reach.items():
-                    if m <= r + 1 and add(m * h, e, sign, m > r):
+                    if m <= r + 1 and add(level, m, sign, e, m > r):
                         reach[sign] = m
-                e *= step
-            previous, estimate = estimate, [h * a for a in sums]
+                e = mpf_mul(e, step, prec, rnd)
+            previous, estimate = estimate, [make(mpf_mul(h, a, prec, rnd)) for a in sums]
             if all(abs(a - b) <= tol * abs(a) for a, b in zip(estimate, previous)):
                 return estimate
         raise IntegrationError(f"exp-exp levels disagree by more than {ctx.quad_tol}")

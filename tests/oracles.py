@@ -6,6 +6,8 @@
   mu_{2k} = mu_0 at alpha + 2k, with no recurrence between entries.
 * ``parabolic_cylinder_D_integral`` -- D_nu(z) by exp-exp quadrature of its
   integral representation, against mpmath's ``pcfd``.
+* ``exp_exp_moments_fresh`` -- the exp-exp moments with every node formed afresh
+  in mpf arithmetic, in place of the library's per-precision node store.
 * ``ladder_pair_compatibility_residuals`` -- (S1), (S2), (S2') from one
   ``LadderPair`` per index j <= n+1, each converting (s, alpha, N) again.
 * ``barnes_block_four_calls`` -- the Barnes-G block of the log D_n displays
@@ -25,11 +27,14 @@
   vectors and Horner's rule over them (with 0..2 derivatives), in place of the
   one recurrence pass per point.
 """
+from typing import Callable
+
 from mpmath import (mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, polyval,
                     binomial, log, pi, sqrt)
 
-from dfreud import (DomainError, MomentTable, PoleError, barnes_g_log, exp_exp_moments,
-                    ladder_pair, mu0)
+from dfreud import (DomainError, IntegrationError, MomentTable, NumericContext, PoleError,
+                    barnes_g_log, exp_exp_moments, ladder_pair, mu0)
+from dfreud.numerics import fraction_to_mpf
 
 
 def ldlt_pivots(mus, n: int):
@@ -69,6 +74,70 @@ def parabolic_cylinder_D_integral(nu, z, ctx):
             raise DomainError("representation requires nu < 0")
         integral = exp_exp_moments(-nu - 1, lambda t: t * t / 2 + t * z, 1, ctx)[0]
         return exp(-z * z / 4) / gamma(-nu) * integral
+
+
+# ``exp_exp_moments`` as it was before its nodes were stored: every node formed
+# afresh with mpf arithmetic.  The bit oracle of the node store.
+def exp_exp_moments_fresh(p, g: Callable, count: int, ctx: NumericContext) -> list:
+    """[int_0^inf y^(p+k) exp(-g(y)) dy for k < count] from one exp-exp trapezoid.
+
+    Nodes y = exp(u), u = t - exp(-t), dy = y (1 + exp(-t)) dt: the double-exponential
+    map for integrands that decay exponentially (Takahasi & Mori, Publ. RIMS 9, 1974;
+    Mori & Sugihara, J. Comput. Appl. Math. 127, 2001).  One value per node serves
+    every moment; the nodes +-t share e = exp(t).  Level 0 walks h = 1 out from t = 0
+    until a node adds less than the working epsilon to every moment.  Each level then
+    halves h and adds the odd nodes, per side, out to one coarse step 2h past the
+    outermost node that added more than that at any coarser level (the centre can be
+    negligible before the mass, so a negligible node ends no side), until two levels
+    agree to ``ctx.quad_tol`` in every moment; the level cap grows with log2(digits).
+    Raises DomainError for p <= -1, and IntegrationError when the levels disagree at
+    the cap or a tail still adds past its bound (D the working digits): y^(p+1) < 10^-D
+    on the left once (p+1)(|t| + e^|t|) > D ln 10; the right tail decays only through
+    g and is walked to y = 10^(8D), which for g = N y covers N down to 10^(2 - 8D).
+    """
+    with mp.workdps(ctx.digits + 10):
+        p = mpmathify(p)
+        if p <= -1:
+            raise DomainError(f"y^p is integrable at 0 only for p > -1, got p = {p}")
+        sums, d_ln10, p1, eps = [mp.zero] * count, mp.dps * log(10), p + 1, mp.eps
+        t_max = {1: int(8 * d_ln10) + 2, -1: int(log(max(d_ln10 / p1, 1))) + 2}
+
+        def add(t, e, sign, test=True) -> bool:
+            """Add the node sign t, e = exp(t), to ``sums``; with ``test``, whether it added."""
+            w = 1 / e if sign > 0 else e
+            u, du = sign * t - w, 1 + w
+            y, added = exp(u), False
+            b = exp(p1 * u - g(y)) * du
+            for k in range(count):
+                sums[k] += b
+                added = added or (test and b > eps * sums[k])
+                b *= y
+            return added
+
+        add(mp.zero, mp.one, 1)
+        reach = {1: 0, -1: 0}       # the outermost node that added, in units of h
+        for sign in reach:
+            for j in range(1, t_max[sign] + 1):
+                if not add(mpf(j), exp(j), sign):
+                    break
+                reach[sign] = j
+            else:
+                raise IntegrationError(f"integrand does not decay by t = {sign * t_max[sign]}")
+
+        h, estimate, tol = mp.one, list(sums), fraction_to_mpf(ctx.quad_tol)
+        for _ in range(1, ctx.digits.bit_length() + 5):
+            h /= 2
+            reach = {sign: 2 * r for sign, r in reach.items()}
+            e, step = exp(h), exp(2 * h)
+            for m in range(1, max(reach.values()) + 2, 2):    # odd m, m h <= reach + 2h
+                for sign, r in reach.items():
+                    if m <= r + 1 and add(m * h, e, sign, m > r):
+                        reach[sign] = m
+                e *= step
+            previous, estimate = estimate, [h * a for a in sums]
+            if all(abs(a - b) <= tol * abs(a) for a, b in zip(estimate, previous)):
+                return estimate
+        raise IntegrationError(f"exp-exp levels disagree by more than {ctx.quad_tol}")
 
 
 def ladder_pair_compatibility_residuals(n: int, z, params, betas) -> tuple:

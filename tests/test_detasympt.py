@@ -30,6 +30,22 @@ class TestLogDetDerivative:
         with pytest.raises(DomainError):
             logdet_derivative_exact(4, WeightParams(0, 1, 1), NumericContext(digits=60))
 
+    @pytest.mark.parametrize("with_betas", [False, True])
+    @pytest.mark.parametrize("route", [logdet_derivative_exact, logdet_derivative_sum],
+                             ids=["exact", "sum"])
+    def test_n_zero_is_zero(self, route, with_betas):
+        # D_0 = 1 for every s, so d/ds log D_0 = 0; the closed form used to divide
+        # 0 by beta_0 = 0, and the sum to ask for a Hankel table of order 0
+        params, ctx = WeightParams("0.5", 1, 1), NumericContext(digits=30)
+        betas = beta_from_moments(params, 2, ctx) if with_betas else None
+        assert route(0, params, ctx, betas) == 0
+
+    @pytest.mark.parametrize("route", [logdet_derivative_exact, logdet_derivative_sum],
+                             ids=["exact", "sum"])
+    def test_negative_n_rejected_without_betas(self, route):
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            route(-1, WeightParams("0.5", 1, 1), NumericContext(digits=30))
+
 
 class TestAppendixB:
     def test_a_integral_closed_form(self):

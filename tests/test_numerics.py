@@ -6,6 +6,7 @@ from mpmath import mp, mpf, mpmathify, log, sqrt, pi, exp, sin, cos, gamma, bess
 
 from dfreud import (NumericContext, DomainError, IntegrationError, barnes_g_log,
                     exp_exp_moments, central_difference)
+from dfreud.numerics import _NODE_BUDGET, _node, _node_store
 from conftest import assert_close
 
 
@@ -18,6 +19,13 @@ class TestNumericContext:
     def test_digits_floor(self):
         with pytest.raises(DomainError):
             NumericContext(digits=10)
+
+    @pytest.mark.parametrize("digits", [40.5, 40.0, Fraction(81, 2), "60", mpf(40)])
+    def test_digits_must_be_an_integer(self, digits):
+        # 40.5 used to run betas at fractional working digits while the quadrature
+        # raised TypeError from quad_tol
+        with pytest.raises(DomainError, match="digits must be an integer"):
+            NumericContext(digits=digits)
 
 
 class TestBarnesGLog:
@@ -116,12 +124,69 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(DomainError):
             exp_exp_moments(-1, lambda y: y, 1, ctx60)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_count_below_one(self, count, ctx60):
+        # it used to run level 0 and one finer level, then return []
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            exp_exp_moments(0, lambda y: y, count, ctx60)
+
     @pytest.mark.parametrize("p", [0, "-0.5", 3, "-0.99"])
     def test_non_decaying_integrand_raises_quickly(self, p, ctx60):
         start = time.perf_counter()
         with pytest.raises(IntegrationError):
             exp_exp_moments(mpmathify(p), lambda y: 0, 1, ctx60)
         assert time.perf_counter() - start < 1
+
+
+class TestNodeStore:
+    """The exp-exp nodes (u, du, y), kept per working precision in bits."""
+
+    @staticmethod
+    def fresh(level: int, index: int, sign: int, e):
+        """(u, du, y) by mpf arithmetic at the working precision, as the rule had them."""
+        t = index * mpf(2) ** -level
+        w = 1 / e if sign > 0 else e
+        u = sign * t - w
+        return tuple(x._mpf_ for x in (u, 1 + w, exp(u)))
+
+    @pytest.mark.parametrize("precs", [(53, 54), (54, 53), (106, 107), (107, 106)])
+    def test_precisions_sharing_a_decimal_precision(self, precs):
+        # each pair shares one mp.dps, so a store keyed on it would hand the
+        # first precision's nodes to the second
+        _node_store.cache_clear()
+        for prec in precs:
+            with mp.workprec(prec):
+                for sign in (1, -1):
+                    for j in range(4):
+                        assert _node(0, j, sign) == self.fresh(0, j, sign, exp(j))
+                    for level in (1, 2):
+                        h = mpf(2) ** -level
+                        e, step = exp(h), exp(2 * h)
+                        for m in range(1, 9, 2):
+                            assert _node(level, m, sign, e._mpf_) == self.fresh(level, m, sign, e)
+                            e *= step
+        assert _node_store.cache_info().currsize == 2
+
+    def test_store_stays_bounded(self):
+        _node_store.cache_clear()
+        ctx30 = NumericContext(digits=30)
+        with mp.workdps(40):
+            p, big_n = mpf("-0.5"), mpf(10) ** -318
+            prec = mp.prec
+        exp_exp_moments(p, lambda y: big_n * y, 2, ctx30)     # walks the right tail to 10^320
+        assert len(_node_store(prec)) == _NODE_BUDGET
+        with pytest.raises(IntegrationError):
+            exp_exp_moments(0, lambda y: 0, 1, NumericContext(digits=60))
+        precs = []
+        for digits in (31, 45, 60, 75, 100):
+            exp_exp_moments(0, lambda y: y, 3, NumericContext(digits=digits))
+            with mp.workdps(digits + 10):
+                precs.append(mp.prec)
+        info = _node_store.cache_info()
+        assert info.currsize == info.maxsize == 4
+        # the store holds the latest precisions; reading them adds none
+        assert all(0 < len(_node_store(p)) <= _NODE_BUDGET for p in precs[-4:])
+        assert _node_store.cache_info().misses == info.misses
 
 
 class TestCentralDifference:

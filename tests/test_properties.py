@@ -31,6 +31,10 @@
 * Over s in [1/10000, 1], alpha in (-1, 5] and N in [1/4, 50] as exact
   rationals, ``WeightParams.mpfs`` returns the bits of a fresh conversion at
   the working precision, whichever precisions it was asked at before.
+* Over s in [1/10000, 1], alpha in (-1, 5], N in [1/4, 50], 1 to 5 moments
+  and 30, 40, 58, 63 and 100 digits, ``exp_exp_moments`` of the weight returns
+  the same bits from a cold node store, from one filled by another integrand
+  at the same precision, and from the rule that forms every node afresh.
 * Over alpha in (-1, 5], n <= 30 and 30, 60 and 150 digits, the D0 and D1
   displays and ``mehta_normand_logD0`` at n and 2n give the same bits from a
   cold Barnes-block cache as from one filled at another n and precision.
@@ -55,10 +59,10 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
                     mehta_normand_logD0)
 from dfreud.asymptotics import _small_s_series
 from dfreud.detasympt import _barnes_block
-from dfreud.numerics import fraction_to_mpf
+from dfreud.numerics import _node_store, exp_exp_moments, fraction_to_mpf
 from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
-                     d_coefficient_transcribed, horner, per_entry_table,
-                     string_coefficients_lu, _sigma_residual)
+                     d_coefficient_transcribed, exp_exp_moments_fresh, horner,
+                     per_entry_table, string_coefficients_lu, _sigma_residual)
 
 CTX = NumericContext(digits=60)
 # no shrink or explain phase: a derandomized failure reproduces as found, and
@@ -78,6 +82,7 @@ POLYNOMIAL = settings(PROPERTY, max_examples=40)
 SMALL_S = settings(PROPERTY, max_examples=100)
 MEMO = settings(PROPERTY, max_examples=100)
 LOGD0 = settings(PROPERTY, max_examples=25)
+NODES = settings(PROPERTY, max_examples=25)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -263,8 +268,8 @@ def test_small_s_warm_cache_returns_cold_bits(params, n, digits):
     assert beta_small_s(n, params, ctx)._mpf_ == cold
 
 
-#: working precisions in bits, more than one WeightParams keeps; 53/54, 106/107
-#: and 333/334 share a decimal precision, so a memo keyed on mp.dps is caught too
+#: working precisions in bits, more than one WeightParams keeps; 53/54 and 106/107
+#: share a decimal precision, so a memo keyed on mp.dps is caught too
 PRECS = (53, 54, 106, 107, 200, 333, 334, 1000, 2000, 2001)
 
 
@@ -276,6 +281,32 @@ def test_mpfs_memo_returns_fresh_bits(params, precs):
             got = params.mpfs()
             want = [fraction_to_mpf(x) for x in (params.s, params.alpha, params.big_n)]
         assert [x._mpf_ for x in got] == [x._mpf_ for x in want]
+
+
+@NODES
+@given(params=full_box, count=st.integers(min_value=1, max_value=5),
+       digits=st.sampled_from((30, 40, 58, 63, 100)))
+def test_exp_exp_store_returns_fresh_bits(params, count, digits):
+    ctx = NumericContext(digits=digits)
+    with mp.workdps(digits + 10):
+        s, a, n = params.mpfs()
+        p, prec = (a - 1) / 2, mp.prec
+
+    def weight(y):
+        return n * (y + s * (y * y - y))
+
+    def bits(rule) -> list:
+        return [x._mpf_ for x in rule(p, weight, count, ctx)]
+
+    _node_store.cache_clear()
+    cold = bits(exp_exp_moments)
+    formed = len(_node_store(prec))
+    _node_store.cache_clear()
+    exp_exp_moments(0, lambda y: y, 2, ctx)     # another integrand, the same precision
+    stored = len(_node_store(prec))
+    assert bits(exp_exp_moments) == cold
+    assert len(_node_store(prec)) - stored < formed      # some nodes came from the store
+    assert bits(exp_exp_moments_fresh) == cold
 
 
 @LOGD0
