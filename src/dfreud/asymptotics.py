@@ -45,8 +45,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpmathify, sqrt
+from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_add, mpf_div, mpf_mul,
+                          mpf_pos, mpf_rdiv_int, mpf_sqrt)
 
-from .numerics import NumericContext, DomainError, fraction_to_mpf, _DEFAULT_CTX
+from .numerics import NumericContext, DomainError, fraction_to_mpf, _DEFAULT_CTX, _check_n
 from .moments import WeightParams
 from .recurrence import (delta_parity, _laurent, _ode_slices, _ode_beta_prime_term,
                          _positive_root)
@@ -79,8 +81,7 @@ def small_s_coefficients(n: int, params: WeightParams,
     None of them reads s, so one cached evaluation per (n, alpha, N, digits)
     serves every s.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     return _small_s_series(n, params.alpha, params.big_n, ctx.digits)
 
 
@@ -206,16 +207,21 @@ def _large_n_parities(params: WeightParams, digits: int) -> tuple:
 
 def beta_large_n(n: int, params: WeightParams,
                  ctx: NumericContext = _DEFAULT_CTX) -> mpf:
-    """Large-n evaluation of beta_n through the n^{-3} term (O(n^{-7/2}) remainder)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    """Large-n evaluation of beta_n through the n^{-3} term (O(n^{-7/2}) remainder):
+    t = 1/sqrt(n), Horner in t for 1 + sum_k d_k t^k, then scale/t (1 + sum).
+
+    Runs on libmp values at ctx.digits + 10 and the working rounding, with the
+    operations of that mpf form in the same order, so the result has its bits.
+    """
+    _check_n(n, 1)
     data = large_n_coefficients(params, "even" if n % 2 == 0 else "odd", ctx)
-    with mp.workdps(ctx.digits + 10):
-        t = 1 / sqrt(mpf(n))
-        total = mp.zero
-        for dk in reversed(data.d):  # Horner in t for 1 + sum_k d_k t^k
-            total = (total + dk) * t
-        return data.scale / t * (1 + total)
+    prec, rnd = dps_to_prec(ctx.digits + 10), mp._prec_rounding[1]
+    t = mpf_rdiv_int(1, mpf_sqrt(mpf_pos(from_int(n), prec, rnd), prec, rnd), prec, rnd)
+    total = fzero
+    for dk in reversed(data.d):
+        total = mpf_mul(mpf_add(total, dk._mpf_, prec, rnd), t, prec, rnd)
+    return mp.make_mpf(mpf_mul(mpf_div(data.scale._mpf_, t, prec, rnd),
+                               mpf_add(total, fone, prec, rnd), prec, rnd))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +280,7 @@ def beta_double_scaling(n: int, big_n, s, alpha,
                         ctx: NumericContext = _DEFAULT_CTX) -> mpf:
     """a0 + a1/N + a2/N^2 from ``double_scaling_coefficients`` at r = n/N, which
     must lie in (0, 1], and at the parity of n."""
+    _check_n(n, 0)      # r > 0 rules out n = 0
     with mp.workdps(ctx.digits + 10):
         Nv = mpmathify(big_n)
         r = mpf(n) / Nv
@@ -305,8 +312,7 @@ def fluid_endpoint(n: int, params: WeightParams,
     """b^2 = [s - 1 + sqrt((1-s)^2 + 6 s mu/N)]/(3s) at mu = 2n + alpha, taken as
     the positive root of (3/2) N s x^2 + N (1-s) x = mu (``recurrence._positive_root``),
     which keeps every digit as s -> 0 and is mu/N at s = 0; a_mu = sqrt(b^2)."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     if 2 * n + params.alpha <= 0:
         raise DomainError(f"mu = 2n + alpha must be positive, got {2 * n + params.alpha}")
     with mp.workdps(ctx.digits + 10):

@@ -46,7 +46,7 @@ from typing import Literal, Optional
 
 from mpmath import mp, mpf, mpmathify, log, loggamma, pi, matrix, lu_solve, fsum, diff
 
-from .numerics import NumericContext, DomainError, barnes_g_log, _DEFAULT_CTX
+from .numerics import NumericContext, DomainError, barnes_g_log, _DEFAULT_CTX, _check_n
 from .moments import WeightParams
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import beta_prime, delta_parity, _laurent, _positive_root
@@ -92,8 +92,7 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
     s > 0; beta_n and its neighbours come from the Hankel route and beta_n'
     from the differential-difference equation.  D_0 = 1, so n = 0 gives 0.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     if params.s == 0:
         raise DomainError("the closed form is singular at s = 0")
     if n == 0:
@@ -111,8 +110,7 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
 def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
                           betas: Optional[BetaSequence] = None) -> mpf:
     """The direct-summation form of D_n'/D_n (independent cross-check); 0 at n = 0."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     if params.s == 0:
         raise DomainError("singular at s = 0")
     if n == 0:
@@ -289,8 +287,7 @@ def logdet_expansion(quantity: Quantity, n: int, r, alpha,
     "D1": log D_n(1).  The three assemble exactly: D1 = ratio_10 + D0
     term by term, for either parity.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n, 1)
     if parity is None:
         parity = "even" if n % 2 == 0 else "odd"
     if parity not in ("even", "odd"):

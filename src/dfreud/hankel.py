@@ -34,7 +34,7 @@ from typing import Literal, Optional
 
 from mpmath import mp, mpf, mpmathify, log, pi, loggamma, fsum
 
-from .numerics import NumericContext, PrecisionExhaustedError, DomainError
+from .numerics import NumericContext, PrecisionExhaustedError, DomainError, _check_n
 from .moments import WeightParams, moment_table
 
 Route = Literal["hankel", "dpi"]
@@ -101,8 +101,7 @@ def h_sequence(params: WeightParams, n: int, ctx: NumericContext) -> BetaSequenc
     to 10**(-digits) on every pivot; otherwise the precision doubles, and past
     the DFREUD_MAX_DIGITS cap it raises ``PrecisionExhaustedError``.
     """
-    if n < 1:
-        raise DomainError("Hankel order must be >= 1")
+    _check_n(n, 1, "Hankel order")
     max_digits = _max_digits()
     work = ctx.digits + 20 + 2 * n
     while True:
@@ -134,8 +133,7 @@ def _attempt_pivots(params: WeightParams, n: int, work: int):
 
 def beta_from_moments(params: WeightParams, n_max: int, ctx: NumericContext) -> BetaSequence:
     """beta_0..beta_{n_max} from Hankel pivots: beta_j = h_j / h_{j-1}, beta_0 = 0."""
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    _check_n(n_max, 1, "n_max")
     return h_sequence(params, n_max + 1, ctx)
 
 
@@ -157,8 +155,7 @@ def mehta_normand_logD0(n: int, alpha, big_n, ctx: NumericContext) -> mpf:
     2m + 1, so each is evaluated once.  DomainError unless n >= 1 and
     (0, alpha, N) is a valid ``WeightParams``: alpha > -1 and N > 0.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_n(n, 1)
     WeightParams(0, alpha, big_n)      # DomainError for alpha <= -1 or N <= 0
     with mp.workdps(ctx.digits + 15):
         a, N = mpmathify(alpha), mpmathify(big_n)

@@ -20,8 +20,8 @@ Provided here:
   whose nodes all the moments share; the endpoint behaviour y^p needs no substitution.
   The map half of each node, (u, du, y), depends on the working precision alone and
   is kept in a bounded store per precision in bits (``_node_store``: the last four
-  precisions, ``_NODE_BUDGET`` nodes each); the results keep the bits of forming
-  every node afresh.
+  precisions, ``_NODE_BUDGET`` nodes each), filled only by rules that succeed; the
+  results keep the bits of forming every node afresh.
 * ``central_difference`` -- fourth-order central stencils, used only as an
   independent oracle for analytic derivative formulas elsewhere.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Callable
 
 from mpmath import mp, mpf, mpmathify, log, barnesg
@@ -55,6 +56,14 @@ class PrecisionExhaustedError(ArithmeticError):
 
 class PoleError(ValueError):
     """Evaluation requested too close to a pole of a rational coefficient."""
+
+
+def _check_n(n, lowest: int, name: str = "n") -> None:
+    """DomainError naming ``n`` unless it is an integer >= ``lowest``."""
+    if not isinstance(n, (int, Integral)):     # int first: the ABC check is ten times slower
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < lowest:
+        raise DomainError(f"{name} must be >= {lowest}")
 
 
 def to_fraction(value) -> Fraction:
@@ -145,16 +154,17 @@ def _node_store(prec: int) -> dict:
     return {}
 
 
-def _node(level: int, index: int, sign: int, e=None) -> tuple:
+def _node(level: int, index: int, sign: int, e=None, formed=None) -> tuple:
     """(u, du, y) of the exp-exp node sign t, t = index 2^-level, at the working precision.
 
     u = sign t - w, du = 1 + w and y = exp(u), w = e^-sign, from e = exp(t) (None: formed
-    here), as libmp tuples.  They depend on the precision alone, never on the integrand,
-    so ``_node_store`` keeps them while its budget lasts; nodes past it are formed anew.
+    here), as libmp tuples.  They depend on the precision alone, never on the integrand:
+    a node is read from ``_node_store`` when it is there, and otherwise formed and
+    appended to ``formed`` as (key, node), for the rule to store if it succeeds.
     """
     prec, rnd = mp._prec_rounding
-    store = _node_store(prec)
-    node = store.get((level, index, sign))
+    key = level, index, sign
+    node = _node_store(prec).get(key)
     if node is None:
         t = from_man_exp(index, -level)
         if e is None:
@@ -162,8 +172,8 @@ def _node(level: int, index: int, sign: int, e=None) -> tuple:
         w = mpf_div(fone, e, prec, rnd) if sign > 0 else e
         u = mpf_sub(t if sign > 0 else mpf_neg(t), w, prec, rnd)
         node = u, mpf_add(w, fone, prec, rnd), mpf_exp(u, prec, rnd)
-        if len(store) < _NODE_BUDGET:
-            store[level, index, sign] = node
+        if formed is not None:
+            formed.append((key, node))
     return node
 
 
@@ -188,7 +198,9 @@ def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
     The map half of a node, (u, du, y), depends on the working precision alone, so
     it comes from ``_node_store`` when formed before; the sums run on libmp values
     at the context's precision and rounding, with the same operations in the same
-    order, so every result has the bits of forming each node afresh.
+    order, so every result has the bits of forming each node afresh.  A rule that
+    returns stores the nodes it formed, in the order it formed them, while the
+    budget lasts; a rule that raises stores none.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -200,11 +212,12 @@ def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
         t_max = {1: int(8 * d_ln10) + 2, -1: int(log(max(d_ln10 / p1, 1))) + 2}
         prec, rnd = mp._prec_rounding
         make, p1, eps, sums = mp.make_mpf, p1._mpf_, mp.eps._mpf_, [fzero] * count
+        formed = []
 
         def add(level, index, sign, e=None, test=True) -> bool:
             """Add the node of ``_node(level, index, sign, e)`` to ``sums``; with ``test``,
             whether it added."""
-            u, du, y = _node(level, index, sign, e)
+            u, du, y = _node(level, index, sign, e, formed)
             x = (make(mpf_mul(p1, u, prec, rnd)) - g(make(y)))._mpf_
             b, added = mpf_mul(mpf_exp(x, prec, rnd), du, prec, rnd), False
             for k in range(count):
@@ -235,6 +248,8 @@ def exp_exp_moments(p, g: Callable, count: int, ctx: NumericContext) -> list:
                 e = mpf_mul(e, step, prec, rnd)
             previous, estimate = estimate, [make(mpf_mul(h, a, prec, rnd)) for a in sums]
             if all(abs(a - b) <= tol * abs(a) for a, b in zip(estimate, previous)):
+                store = _node_store(prec)
+                store.update(formed[:_NODE_BUDGET - len(store)])
                 return estimate
         raise IntegrationError(f"exp-exp levels disagree by more than {ctx.quad_tol}")
 

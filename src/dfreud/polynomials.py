@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 from mpmath import mp, mpf, mpmathify, sqrt, fsum
 from mpmath import quad  # noqa: F401  -- unused here; bench/tracer.py spans polynomials.quad
 
-from .numerics import NumericContext, DomainError, PoleError, _DEFAULT_CTX
+from .numerics import NumericContext, DomainError, PoleError, _DEFAULT_CTX, _check_n
 from .moments import WeightParams, moment_table
 from .hankel import BetaSequence, beta_from_moments
 from .recurrence import delta_parity
@@ -319,8 +319,7 @@ def heun_parameters(alpha, big_n, s, n: int,
                     ctx: NumericContext = _DEFAULT_CTX) -> HeunParameters:
     """Heun limit; DomainError unless n >= 0, N s > 0 and (s, alpha, N) is a valid
     WeightParams."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     with mp.workdps(ctx.digits + 10):
         alpha, N, s = mpmathify(alpha), mpmathify(big_n), mpmathify(s)
         if N * s <= 0:

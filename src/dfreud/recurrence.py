@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from mpmath import mp, mpf, mpmathify, isfinite, fsum, sqrt
+from mpmath import mp, mpf, mpmathify, fsum, sqrt
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_sub
 
-from .numerics import NumericContext, DomainError, to_fraction, _DEFAULT_CTX
+from .numerics import NumericContext, DomainError, to_fraction, _DEFAULT_CTX, _check_n
 from .moments import WeightParams, mu0
 from .hankel import BetaSequence, beta_from_moments
 
@@ -46,8 +47,7 @@ def delta_parity(n: int) -> int:
 
 def beta_at_s0(n: int, alpha, big_n) -> Fraction:
     """Exact closed form at s = 0: beta_n = (n + alpha Delta_n)/(2N), beta_0 = 0."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     a, N = to_fraction(alpha), to_fraction(big_n)
     return (n + a * delta_parity(n)) / (2 * N)
 
@@ -65,27 +65,37 @@ def dpi_forward(params: WeightParams, beta1, n_max: int,
     Solves beta_{n+1} = (n + alpha Delta_n)/(4 N s beta_n) - beta_n - beta_{n-1} - u.
     Halts early when some beta_n <= 0 or stops being finite, recording the
     first failing index in the returned sequence.
+
+    The steps run on libmp values at the context's precision and rounding, with the
+    operations of that formula in the same order (4 N s formed once), so every beta
+    has the bits of the mpf form.
     """
     if params.s == 0:
         raise DomainError("dP_I iteration needs s > 0; use beta_at_s0 instead")
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    _check_n(n_max, 1, "n_max")
     with mp.workdps(ctx.digits):
         s, a, N = params.mpfs()
-        u = (1 - s) / (2 * s)
-        betas = [mp.zero, mpmathify(beta1)]
-        failure = None
-        if not (betas[1] > 0):
+        b1 = mpmathify(beta1)
+        trajectory, failure = [], None
+        if not (b1 > 0):
             failure = 1
         else:
+            prec, rnd = mp._prec_rounding
+            u, four_ns = ((1 - s) / (2 * s))._mpf_, (4 * N * s)._mpf_
+            a_delta = ((a * 0)._mpf_, (a * 1)._mpf_)    # a Delta_n: n even, n odd
+            old, cur = fzero, b1._mpf_
             for n in range(1, n_max):
-                ell = (n + a * delta_parity(n)) / (4 * N * s)
-                nxt = ell / betas[n] - betas[n] - betas[n - 1] - u
-                betas.append(nxt)
-                if not isfinite(nxt) or nxt <= 0:
+                ell = mpf_div(mpf_add(a_delta[n % 2], from_int(n), prec, rnd), four_ns,
+                              prec, rnd)
+                nxt = mpf_sub(mpf_sub(mpf_sub(mpf_div(ell, cur, prec, rnd), cur, prec, rnd),
+                                      old, prec, rnd), u, prec, rnd)
+                trajectory.append(nxt)
+                if nxt[0] or not nxt[1]:    # negative, or zero, infinite or nan
                     failure = n + 1
                     break
-        return BetaSequence(params=params, route="dpi", betas=tuple(betas),
+                old, cur = cur, nxt
+        betas = (mp.zero, b1) + tuple(map(mp.make_mpf, trajectory))
+        return BetaSequence(params=params, route="dpi", betas=betas,
                             digits_used=ctx.digits, failure_index=failure)
 
 
@@ -116,8 +126,7 @@ def dpi_residual(betas: BetaSequence | Sequence, params: WeightParams) -> list:
 
 def beta_prime(n: int, betas, params: WeightParams) -> mpf:
     """beta_n'(s) from the differential-difference equation (needs beta_{n+-1})."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     if params.s == 0:
         raise DomainError("beta_prime formula is singular at s = 0")
     s, a, N = params.mpfs()
@@ -211,8 +220,7 @@ def upper_bound(n: int, params: WeightParams, ctx: NumericContext = _DEFAULT_CTX
     """Closed-form upper bound 0 < beta_n < -(1-s)/(4s) + sqrt((...)^2 + l_n/(4Ns)):
     the dP_I without beta_{n+-1}, the positive root of
     4Ns x^2 + 2N(1-s) x = n + alpha Delta_n (``_positive_root``)."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_n(n, 0)
     if params.s == 0:
         raise DomainError("the bound is stated for s > 0")
     with mp.workdps(ctx.digits):

@@ -8,6 +8,9 @@
   integral representation, against mpmath's ``pcfd``.
 * ``exp_exp_moments_fresh`` -- the exp-exp moments with every node formed afresh
   in mpf arithmetic, in place of the library's per-precision node store.
+* ``dpi_forward_mpf`` / ``beta_large_n_mpf`` -- the dP_I forward map and the
+  large-n evaluation with an mpf per operation, in place of the library's loops
+  on libmp values.
 * ``ladder_pair_compatibility_residuals`` -- (S1), (S2), (S2') from one
   ``LadderPair`` per index j <= n+1, each converting (s, alpha, N) again.
 * ``barnes_block_four_calls`` -- the Barnes-G block of the log D_n displays
@@ -30,10 +33,13 @@
 from typing import Callable
 
 from mpmath import (mp, mpf, mpmathify, exp, gamma, fsum, matrix, lu_solve, polyval,
-                    binomial, log, pi, sqrt)
+                    binomial, log, pi, sqrt, isfinite)
 
-from dfreud import (DomainError, IntegrationError, MomentTable, NumericContext, PoleError,
-                    barnes_g_log, exp_exp_moments, ladder_pair, mu0)
+from dfreud import (BetaSequence, DomainError, IntegrationError, MomentTable, NumericContext,
+                    PoleError, WeightParams, barnes_g_log, exp_exp_moments, ladder_pair,
+                    large_n_coefficients, mu0)
+from dfreud.numerics import _DEFAULT_CTX
+from dfreud.recurrence import delta_parity
 from dfreud.numerics import fraction_to_mpf
 
 
@@ -139,6 +145,53 @@ def exp_exp_moments_fresh(p, g: Callable, count: int, ctx: NumericContext) -> li
                 return estimate
         raise IntegrationError(f"exp-exp levels disagree by more than {ctx.quad_tol}")
 
+
+
+# ``dpi_forward`` and ``beta_large_n`` as they were before their loops ran on libmp
+# values: an mpf per operation.  The bit oracles of those loops.
+def dpi_forward_mpf(params: WeightParams, beta1, n_max: int,
+                    ctx: NumericContext) -> BetaSequence:
+    """Iterate the dP_I forward from (beta_0, beta_1) = (0, beta1) up to beta_{n_max}.
+
+    Solves beta_{n+1} = (n + alpha Delta_n)/(4 N s beta_n) - beta_n - beta_{n-1} - u.
+    Halts early when some beta_n <= 0 or stops being finite, recording the
+    first failing index in the returned sequence.
+    """
+    if params.s == 0:
+        raise DomainError("dP_I iteration needs s > 0; use beta_at_s0 instead")
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    with mp.workdps(ctx.digits):
+        s, a, N = params.mpfs()
+        u = (1 - s) / (2 * s)
+        betas = [mp.zero, mpmathify(beta1)]
+        failure = None
+        if not (betas[1] > 0):
+            failure = 1
+        else:
+            for n in range(1, n_max):
+                ell = (n + a * delta_parity(n)) / (4 * N * s)
+                nxt = ell / betas[n] - betas[n] - betas[n - 1] - u
+                betas.append(nxt)
+                if not isfinite(nxt) or nxt <= 0:
+                    failure = n + 1
+                    break
+        return BetaSequence(params=params, route="dpi", betas=tuple(betas),
+                            digits_used=ctx.digits, failure_index=failure)
+
+
+def beta_large_n_mpf(n: int, params: WeightParams,
+                     ctx: NumericContext = _DEFAULT_CTX) -> mpf:
+    """Large-n evaluation of beta_n through the n^{-3} term (O(n^{-7/2}) remainder)."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    data = large_n_coefficients(params, "even" if n % 2 == 0 else "odd", ctx)
+    with mp.workdps(ctx.digits + 10):
+        t = 1 / sqrt(mpf(n))
+        total = mp.zero
+        for dk in reversed(data.d):  # Horner in t for 1 + sum_k d_k t^k
+            total = (total + dk) * t
+        return data.scale / t * (1 + total)
 
 def ladder_pair_compatibility_residuals(n: int, z, params, betas) -> tuple:
     """(r_S1, r_S2, r_S2prime) with every A_j, B_j taken from ``ladder_pair``."""

@@ -10,7 +10,9 @@ from dfreud import (NumericContext, WeightParams, DomainError,
                     small_s_coefficients, beta_small_s, large_n_coefficients,
                     beta_large_n, double_scaling_coefficients, beta_double_scaling,
                     fluid_endpoint, upper_bound, heun_parameters, beta_prime,
-                    beta_second, logdet_derivative_exact, logdet_derivative_sum)
+                    beta_second, logdet_derivative_exact, logdet_derivative_sum,
+                    logdet_expansion, beta1_initial, dpi_forward, mehta_normand_logD0,
+                    h_sequence, logdet)
 
 
 CTX30 = NumericContext(digits=30)
@@ -37,6 +39,34 @@ def test_negative_n_rejected(call, lowest):
     for n in (-1, -2, -3, -4):
         with pytest.raises(DomainError, match="n must be >= 0"):
             call(n, betas)
+
+
+HALF = WeightParams("1/2", 1, 1)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda n: beta_large_n(n, HALF, CTX30), 2.5),
+    (lambda n: beta_small_s(n, HALF, CTX30), 2.5),
+    (lambda n: beta_double_scaling(n, 5, "1/2", 1, CTX30), 2.5),
+    (lambda n: upper_bound(n, HALF, CTX30), 2.5),
+    (lambda n: fluid_endpoint(n, HALF, CTX30), 2.5),
+    (lambda n: logdet_expansion("D0", n, 1, 1, ctx=CTX30), 2.5),
+    (lambda n: dpi_forward(HALF, beta1_initial(HALF, CTX30), n, CTX30), 7.5),
+    (lambda n: mehta_normand_logD0(n, 1, 1, CTX30), 2.5),
+    (lambda n: beta_from_moments(HALF, n, CTX30), 3.5),
+    (lambda n: h_sequence(HALF, n, CTX30), 2.5),
+    (lambda n: logdet(HALF, n, CTX30), 2.5),
+], ids=["beta_large_n", "beta_small_s", "beta_double_scaling", "upper_bound",
+        "fluid_endpoint", "logdet_expansion", "dpi_forward", "mehta_normand_logD0",
+        "beta_from_moments", "h_sequence", "logdet"])
+def test_non_integral_n_rejected(call, bad):
+    # a fractional n is no index: at (s, alpha, N) = (1/2, 1, 1) the first six used
+    # to return a value for it (beta_large_n 0.77894 at 2.5), the next two raised
+    # TypeError and the Hankel routes a DomainError about digits
+    call(int(bad))
+    with pytest.raises(DomainError,
+                       match=rf"(n|n_max|Hankel order) must be an integer, got {bad}"):
+        call(bad)
 
 
 class TestSmallS:

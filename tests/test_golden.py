@@ -26,6 +26,10 @@ hankel`` still printed the exact closed form at s = 0 instead of running the
 Hankel route there.  ``moments_json`` and ``hankel_det_json`` pin the JSON
 meta (the moment table's source and digits, the pivots' ``digits_used``); they
 were captured while those values were still fields of the result records.
+``beta_largen_n300`` (s = 0.7, alpha = 1.2, N = 0.6) and ``beta_dpi_n300`` (100
+digits, s = 0.5, alpha = 3/2, which leaves the cone at n = 177 and pads with nan)
+run at the sizes of the benchmark's large-n and dP_I tables; they were captured
+before both loops ran on libmp values in place of an mpf per operation.
 """
 from pathlib import Path
 
@@ -58,6 +62,10 @@ CASES = {
                          "--max-order", "40"), 0),
     "moments_json": (("moments", "--format", "json", "--max-order", "4"), 0),
     "hankel_det_json": (("hankel-det", "--format", "json", "--n", "4"), 0),
+    "beta_largen_n300": (("beta", "--method", "largen", "--n-max", "300", "--s", "0.7",
+                          "--alpha", "1.2", "--N", "0.6"), 0),
+    "beta_dpi_n300": (("beta", "--method", "dpi", "--n-max", "300", "--digits", "100",
+                       "--s", "0.5", "--alpha", "1.5"), 0),
 }
 
 

@@ -188,6 +188,19 @@ class TestNodeStore:
         assert all(0 < len(_node_store(p)) <= _NODE_BUDGET for p in precs[-4:])
         assert _node_store.cache_info().misses == info.misses
 
+    def test_failed_rule_stores_no_node(self):
+        # g = 0 never decays: the rule walks 1,291 level-0 nodes on the right before
+        # it raises, and used to leave them in the store
+        ctx60 = NumericContext(digits=60)
+        _node_store.cache_clear()
+        exp_exp_moments(0, lambda y: y, 2, ctx60)
+        with mp.workdps(70):
+            store = _node_store(mp.prec)
+        before = list(store)
+        with pytest.raises(IntegrationError):
+            exp_exp_moments(0, lambda y: 0, 1, ctx60)
+        assert list(store) == before
+
 
 class TestCentralDifference:
     def test_square(self, ctx60):

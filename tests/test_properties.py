@@ -35,6 +35,11 @@
   and 30, 40, 58, 63 and 100 digits, ``exp_exp_moments`` of the weight returns
   the same bits from a cold node store, from one filled by another integrand
   at the same precision, and from the rule that forms every node afresh.
+* Over s in [1/10000, 1], alpha in (-1, 5], N in [1/4, 50], n <= 300 and 30, 60,
+  150 and 500 digits, ``dpi_forward`` returns the bits and the failure index of
+  the mpf form of its step, from beta_1, from beta_1 moved by 10^-8 either way
+  (early cone exits) and from beta_1 <= 0; over s in [1/100, 1] at 30, 60 and
+  150 digits, so does ``beta_large_n`` at n <= 300 of both parities.
 * Over alpha in (-1, 5], n <= 30 and 30, 60 and 150 digits, the D0 and D1
   displays and ``mehta_normand_logD0`` at n and 2n give the same bits from a
   cold Barnes-block cache as from one filled at another n and precision.
@@ -48,7 +53,7 @@
 from fractions import Fraction
 from math import log10
 
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_residual,
@@ -60,9 +65,10 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
 from dfreud.asymptotics import _small_s_series
 from dfreud.detasympt import _barnes_block
 from dfreud.numerics import _node_store, exp_exp_moments, fraction_to_mpf
-from oracles import (barnes_block_four_calls, beta_large_n_fsum, coefficient_polynomials,
-                     d_coefficient_transcribed, exp_exp_moments_fresh, horner,
-                     per_entry_table, string_coefficients_lu, _sigma_residual)
+from oracles import (barnes_block_four_calls, beta_large_n_fsum, beta_large_n_mpf,
+                     coefficient_polynomials, d_coefficient_transcribed, dpi_forward_mpf,
+                     exp_exp_moments_fresh, horner, per_entry_table, string_coefficients_lu,
+                     _sigma_residual)
 
 CTX = NumericContext(digits=60)
 # no shrink or explain phase: a derandomized failure reproduces as found, and
@@ -83,6 +89,7 @@ SMALL_S = settings(PROPERTY, max_examples=100)
 MEMO = settings(PROPERTY, max_examples=100)
 LOGD0 = settings(PROPERTY, max_examples=25)
 NODES = settings(PROPERTY, max_examples=25)
+LIBMP = settings(PROPERTY, max_examples=40)
 
 alphas = st.fractions(min_value=-1, max_value=5, max_denominator=100).filter(lambda a: a > -1)
 params_box = st.builds(
@@ -307,6 +314,33 @@ def test_exp_exp_store_returns_fresh_bits(params, count, digits):
     assert bits(exp_exp_moments) == cold
     assert len(_node_store(prec)) - stored < formed      # some nodes came from the store
     assert bits(exp_exp_moments_fresh) == cold
+
+
+@LIBMP
+@given(params=full_box, n_max=st.integers(min_value=1, max_value=300))
+@example(params=WeightParams("1/2", "3/2", 1), n_max=300)
+def test_dpi_forward_returns_the_mpf_bits(params, n_max):
+    # beta_1 to 150 digits: the 500-digit runs still leave the cone, near n = 100-250
+    beta1 = beta1_initial(params, NumericContext(digits=150))
+    for digits in (30, 60, 150, 500):
+        ctx = NumericContext(digits=digits)
+        with mp.workdps(digits + 10):
+            starts = (beta1, beta1 * (1 + mpf(10) ** -8), beta1 * (1 - mpf(10) ** -8),
+                      mp.zero, -beta1)
+        for start in starts:
+            got = dpi_forward(params, start, n_max, ctx)
+            want = dpi_forward_mpf(params, start, n_max, ctx)
+            assert [b._mpf_ for b in got.betas] == [b._mpf_ for b in want.betas]
+            assert (got.failure_index, got.digits_used) == (want.failure_index, digits)
+
+
+@LIBMP
+@given(params=large_n_box, n=st.integers(min_value=2, max_value=300),
+       digits=st.sampled_from((30, 60, 150)))
+def test_beta_large_n_returns_the_mpf_bits(params, n, digits):
+    ctx = NumericContext(digits=digits)
+    for m in (1, n - 1, n):     # both parities
+        assert beta_large_n(m, params, ctx)._mpf_ == beta_large_n_mpf(m, params, ctx)._mpf_
 
 
 @LOGD0
