@@ -37,6 +37,9 @@ a0: with beta_{n+-1} = beta_n it reads 12 N s x^2 + 2 N (1-s) x = n + alpha Delt
 whose root is a0 to leading order at r = n/N, and is exactly b^2/4 at
 n + alpha/2.  One root, ``recurrence._positive_root``, serves both reductions
 (the upper bound drops beta_{n+-1} instead) and is free of cancellation as s -> 0.
+
+The route table at the end is the one way from a route name to betas; it sits
+here, the lowest module that sees all five routes without an import cycle.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_add, mpf_div, 
 
 from .numerics import NumericContext, DomainError, fraction_to_mpf, _DEFAULT_CTX, _check_n
 from .moments import WeightParams
+from . import hankel, recurrence
 from .recurrence import (delta_parity, _laurent, _ode_slices, _ode_beta_prime_term,
                          _positive_root)
 
@@ -319,3 +323,40 @@ def fluid_endpoint(n: int, params: WeightParams,
         s, a, N = params.mpfs()
         b_squared = _positive_root(3 * N * s / 2, N * (1 - s), 2 * n + a)
         return FluidEndpoint(b_squared=b_squared, a_mu=sqrt(b_squared))
+
+
+# ---------------------------------------------------------------------------
+# the route table
+# ---------------------------------------------------------------------------
+
+#: routes run once to the largest n: (params, n, ctx) -> BetaSequence.  Each entry
+#: looks its function up at call time, so a patched module attribute sees every call.
+SEQUENCE_ROUTES = {
+    "hankel": lambda params, n, ctx: hankel.beta_from_moments(params, n, ctx),
+    "dpi": lambda params, n, ctx: recurrence.dpi_forward(
+        params, recurrence.beta1_initial(params, ctx), n, ctx),
+}
+#: routes evaluated at each n >= 1: (n, params, ctx) -> mpf
+EXPANSION_ROUTES = {
+    "smalls": lambda n, params, ctx: beta_small_s(n, params, ctx),
+    "largen": lambda n, params, ctx: beta_large_n(n, params, ctx),
+    "double": lambda n, params, ctx: beta_double_scaling(n, params.big_n, params.s,
+                                                         params.alpha, ctx),
+}
+
+
+def beta_values(route: str, params: WeightParams, ns, ctx: NumericContext) -> dict:
+    """{n: beta_n} for n in ns by ``route``, rejecting a negative n before any route
+    runs.  Sequence routes run once to the largest n, with nan past a cone exit;
+    beta_0 = 0, with no call when 0 is the only n.  The routes own s = 0."""
+    if route not in SEQUENCE_ROUTES and route not in EXPANSION_ROUTES:
+        raise DomainError(f"unknown route {route!r}; choose from "
+                          f"{[*SEQUENCE_ROUTES, *EXPANSION_ROUTES]}")
+    if min(ns, default=-1) < 0:
+        raise DomainError("need at least one n, and every n >= 0")
+    if max(ns) == 0:
+        return dict.fromkeys(ns, mp.zero)
+    if route in SEQUENCE_ROUTES:
+        seq = SEQUENCE_ROUTES[route](params, max(ns), ctx)
+        return {n: seq[n] if n < len(seq) else mp.nan for n in ns}
+    return {n: EXPANSION_ROUTES[route](n, params, ctx) if n else mp.zero for n in ns}

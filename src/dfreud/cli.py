@@ -3,7 +3,7 @@
 Subcommands
 -----------
 moments      mu_0..mu_max by closed form or quadrature
-beta         beta_n by route: hankel | dpi | smalls | largen | double
+beta         beta_n by one route of the route table
 hankel-det   Hankel pivots h_j and log D_n
 poly-ode     relative ladder / compatibility / ODE residuals on a z-grid
 logdet       exact d/ds log D_n, or the large-n displays (ratio_10, D0, D1)
@@ -11,12 +11,9 @@ sensitivity  perturbed dP_I trajectories (plot-ready long format)
 verify       run a named verification suite, emit a JSON report
 sweep        beta_n over an s-grid (plot-ready)
 
-beta and sweep share one route table, ``_betas``: it rejects a negative n before
-any route runs, hankel and dpi run once to the largest n (dpi pads with nan past
-a cone exit), the expansions run at each listed n, and beta_0 = 0 on every route,
-with no route called when 0 is the only n.  The routes own s = 0: hankel and
-smalls give the closed form, dpi, largen, double and sensitivity exit 2, and
-sweep prints it for either method.
+beta and sweep read the library's route table through ``asymptotics.beta_values``,
+and beta --method takes its choices from it.  At s = 0 the routes that raise,
+and sensitivity, exit 2; sweep prints the closed form there for either method.
 
 Shared flags: --s --alpha --N --digits --format csv|json --out PATH.
 Values are emitted as decimal strings carrying min(digits, 50) significant
@@ -98,33 +95,12 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _betas(method: str, params: WeightParams, ns: Sequence[int],
-           ctx: NumericContext) -> dict:
-    """{n: beta_n} for n in ns by ``method``, as the module docstring sets out."""
-    if min(ns, default=-1) < 0:
-        raise DomainError("need at least one n, and every n >= 0")
-    if max(ns) == 0:
-        return dict.fromkeys(ns, mp.zero)
-    if method in ("hankel", "dpi"):
-        top = max(ns)
-        if method == "hankel":
-            seq = hankel.beta_from_moments(params, top, ctx)
-        else:
-            seq = recurrence.dpi_forward(params, recurrence.beta1_initial(params, ctx),
-                                         top, ctx)
-        return {n: seq[n] if n < len(seq) else mp.nan for n in ns}
-    route = {"smalls": lambda n: asymptotics.beta_small_s(n, params, ctx),
-             "largen": lambda n: asymptotics.beta_large_n(n, params, ctx),
-             "double": lambda n: asymptotics.beta_double_scaling(
-                 n, params.big_n, params.s, params.alpha, ctx)}[method]
-    return {n: route(n) if n else mp.zero for n in ns}
-
-
 def cmd_beta(args) -> int:
     if args.N is None:      # double scaling needs r = n/N <= 1, so N = n_max there
         args.N = args.n_max if args.method == "double" else "1"
     ns = range(args.n_max + 1)
-    values = _betas(args.method, _params(args), ns, NumericContext(digits=args.digits))
+    values = asymptotics.beta_values(args.method, _params(args), ns,
+                                     NumericContext(digits=args.digits))
     rows = [(n, _decimal(values[n], args.digits)) for n in ns]
     _emit(("n", "beta_n"), rows, args.format, args.out, meta={"method": args.method})
     return 0
@@ -216,7 +192,7 @@ def cmd_sweep(args) -> int:
                 values = {n: fraction_to_mpf(recurrence.beta_at_s0(
                     n, params.alpha, params.big_n)) for n in n_list}
             else:
-                values = _betas(args.method, params, n_list, ctx)
+                values = asymptotics.beta_values(args.method, params, n_list, ctx)
             for n in n_list:
                 rows.append((_decimal(sv, args.digits), n, _decimal(values[n], args.digits)))
     _emit(("s", "n", "beta_n"), rows, args.format, args.out)
@@ -241,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beta", help="recurrence coefficients by a chosen route")
     _add_shared(p)
-    p.add_argument("--method", choices=("hankel", "dpi", "smalls", "largen", "double"),
-                   default="hankel")
+    p.add_argument("--method", default="hankel",
+                   choices=(*asymptotics.SEQUENCE_ROUTES, *asymptotics.EXPANSION_ROUTES))
     p.add_argument("--n-max", type=int, default=20)
     p.set_defaults(func=cmd_beta, N=None)       # --N: 1, or n-max for double
 

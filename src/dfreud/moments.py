@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, get_args
 
 from mpmath import mp, mpf, mpmathify, gamma, exp, sqrt, pcfd
 
 from .numerics import (NumericContext, DomainError, to_fraction, fraction_to_mpf,
-                       exp_exp_moments)
+                       exp_exp_moments, _check_n)
 
 
 #: working precisions whose (s, alpha, N) triple one ``WeightParams`` keeps.
@@ -142,8 +142,9 @@ def _even_moments(params: WeightParams, count: int, ctx: NumericContext) -> list
 def moment_table(params: WeightParams, max_order: int, ctx: NumericContext,
                  source: Source = "closed_form") -> MomentTable:
     """mu_0..mu_{max_order}: even entries by the recurrence or by one exp-exp rule."""
-    if max_order < 0:
-        raise DomainError("max_order must be nonnegative")
+    _check_n(max_order, 0, "max_order")
+    if source not in get_args(Source):
+        raise DomainError(f"source must be one of {get_args(Source)}, got {source!r}")
     count = max_order // 2 + 1
     if source == "quadrature":
         with mp.workdps(ctx.digits + 10):

@@ -15,7 +15,7 @@ keep their own: criterion 10's Gauss-Legendre integral runs at ``digits``, and
 Criteria (tolerances are fixed here, not calibrated later):
 
  1. Gaussian closure of the Hankel route at s = 0.
- 2. Hankel vs dP_I cross-route agreement, n <= 30.
+ 2. Cross-route agreement of every sequence route with Hankel, n <= 30.
  3. Lew-Quarles limit and dP_I at n = 300 against the large-n expansion.
  4. Remainder orders of the three expansions (s^4, n^{-7/2}, N^{-3}).
  5. The closed-form upper bound dominates beta_n on a fixed 14-point grid.
@@ -125,17 +125,18 @@ def criterion_1(ctx: NumericContext) -> list[Check]:
 
 @_criterion(150)
 def criterion_2(ctx: NumericContext) -> list[Check]:
-    """Cross-route: Hankel vs dP_I relative difference below 1e-50."""
+    """Cross-route: every sequence route vs Hankel, relative difference below 1e-50."""
     n_max = 30
     worst = mp.zero
     for s in ("0.25", "0.5", "1"):
         for alpha in ("0", "1.5", "3"):
             params = WeightParams(s, alpha, 1)
             ref = hankel.beta_from_moments(params, n_max, ctx)
-            b1 = recurrence.beta1_initial(params, ctx)
-            dpi = recurrence.dpi_forward(params, b1, n_max, ctx)
-            rel = max(abs(dpi[n] - ref[n]) / ref[n] for n in range(1, n_max + 1))
-            worst = max(worst, rel)
+            for route, run in asymptotics.SEQUENCE_ROUTES.items():
+                if route != "hankel":
+                    seq = run(params, n_max, ctx)
+                    rel = max(abs(seq[n] - ref[n]) / ref[n] for n in range(1, n_max + 1))
+                    worst = max(worst, rel)
     return [Check.build(
         "2.cross-route",
         "max rel |beta^dpi - beta^hankel|, n<=30, s in {1/4,1/2,1}, alpha in {0,1.5,3}",
@@ -148,8 +149,7 @@ def criterion_3(ctx: NumericContext) -> list[Check]:
     params = WeightParams(1, 0, 1)
     val = asymptotics.beta_large_n(10_000, params, ctx)
     dev = abs(val / 100 - 1 / (2 * sqrt(mpf(3))))
-    b1 = recurrence.beta1_initial(params, ctx)
-    dpi = recurrence.dpi_forward(params, b1, 300, ctx)
+    dpi = asymptotics.SEQUENCE_ROUTES["dpi"](params, 300, ctx)
     approx = asymptotics.beta_large_n(300, params, ctx)
     # too few digits let the run leave the positive cone before n = 300
     err = mp.inf if dpi.failure_index is not None else abs(dpi[300] - approx)

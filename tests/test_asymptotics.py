@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,12 @@ def test_non_integral_n_rejected(call, bad):
     with pytest.raises(DomainError,
                        match=rf"(n|n_max|Hankel order) must be an integer, got {bad}"):
         call(bad)
+
+
+def test_unknown_route_rejected_before_the_n_list():
+    routes = [*asymptotics.SEQUENCE_ROUTES, *asymptotics.EXPANSION_ROUTES]
+    with pytest.raises(DomainError, match=re.escape(f"unknown route 'quad'; choose from {routes}")):
+        asymptotics.beta_values("quad", HALF, [-1], CTX30)
 
 
 class TestSmallS:

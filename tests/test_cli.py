@@ -1,14 +1,19 @@
+import argparse
 import json
 from dataclasses import asdict
 
 import pytest
 from mpmath import mp, mpf, mpmathify, sqrt
 
-from dfreud.cli import main
+from dfreud.asymptotics import EXPANSION_ROUTES, SEQUENCE_ROUTES
+from dfreud.cli import build_parser, main
 from dfreud.numerics import fraction_to_mpf
 from dfreud.recurrence import beta_at_s0
 from dfreud.verification import VerificationReport
 from conftest import VERIFY_GOLDEN
+
+
+ROUTES = [*SEQUENCE_ROUTES, *EXPANSION_ROUTES]
 
 
 def run_cli(capsys, *argv):
@@ -42,7 +47,13 @@ class TestBeta:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("method", ["hankel", "dpi", "smalls", "largen", "double"])
+    def test_method_choices_are_the_route_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["beta"]._actions if a.dest == "method")
+        assert list(method.choices) == ROUTES
+
+    @pytest.mark.parametrize("method", ROUTES)
     def test_n_max_zero_calls_no_route(self, capsys, method):
         # beta_0 = 0 on every route; double's default N = n-max = 0 is outside the domain
         code, out, err = run_cli(capsys, "beta", "--method", method, "--n-max", "0")

@@ -211,6 +211,17 @@ class TestMomentTable:
         assert len(seeds) == min(count, 2)
         assert sorted(seeds) == [2 * k for k in range(max(count - 2, 0), count)]
 
+    @pytest.mark.parametrize("max_order, source, match", [
+        (2.5, "closed_form", "max_order must be an integer, got 2.5"),
+        (3.0, "quadrature", "max_order must be an integer, got 3.0"),
+        (-1, "closed_form", "max_order must be >= 0"),
+        (3, "quad", "source must be one of .'quadrature', 'closed_form'., got 'quad'")],
+        ids=["fractional", "float-quadrature", "negative", "unknown-source"])
+    def test_bad_input_rejected(self, max_order, source, match, ctx60):
+        # these raised TypeError, or ("quad") returned the closed-form table
+        with pytest.raises(DomainError, match=match):
+            moment_table(WeightParams("1/2", 1, 1), max_order, ctx60, source=source)
+
     def test_rescaling_spot_check(self):
         # substituting x -> c x maps (s, N) to (s', N') with
         # N' = N c^2 (1 - s) + N s c^4 and s' = N s c^4 / N', and multiplies

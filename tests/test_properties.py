@@ -4,10 +4,10 @@
   Both are evaluated from their N-slices at r = n/N, so these properties also
   cover the slices that drive the large-N expansions.
 * Over s in (0, 1], alpha in (-1, 5] and N in [1/4, 50]: the recurrence moment
-  table matches one pcfd call per entry, the Hankel and dP_I routes give the
-  same beta_n, the polynomials built from Hankel betas are orthonormal against
-  quadrature moments, and the Hankel betas lie below the closed-form upper
-  bound.
+  table matches one pcfd call per entry, every sequence route of the route
+  table gives the Hankel beta_n, the polynomials built from Hankel betas are
+  orthonormal against quadrature moments, and the Hankel betas lie below the
+  closed-form upper bound.
 * Over s in [1/1000, 1], alpha in (-1, 5], N in [1/4, 8] and max_order <= 80,
   the downward moment table matches one pcfd call per entry to 10^-(digits+5),
   five digits past the 10^-digits it promises.
@@ -53,6 +53,7 @@
 from fractions import Fraction
 from math import log10
 
+import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
@@ -62,7 +63,7 @@ from dfreud import (NumericContext, WeightParams, beta_from_moments, ode25_resid
                     large_n_coefficients, appendix_b_coefficients, build_polynomials,
                     eval_poly, beta_large_n, beta_small_s, logdet_expansion,
                     mehta_normand_logD0)
-from dfreud.asymptotics import _small_s_series
+from dfreud.asymptotics import SEQUENCE_ROUTES, _small_s_series
 from dfreud.detasympt import _barnes_block
 from dfreud.numerics import _node_store, exp_exp_moments, fraction_to_mpf
 from oracles import (barnes_block_four_calls, beta_large_n_fsum, beta_large_n_mpf,
@@ -158,16 +159,17 @@ def test_downward_table_keeps_every_digit(params, max_order):
             assert abs(got - want) <= mpf(10) ** -(CTX.digits + 5) * want
 
 
+@pytest.mark.parametrize("route", [r for r in SEQUENCE_ROUTES if r != "hankel"])
 @ROUTES
 @given(params=full_box, n=st.integers(min_value=1, max_value=20))
-def test_hankel_and_dpi_betas_agree(params, n):
+def test_sequence_routes_agree_with_hankel(route, params, n):
     hankel = beta_from_moments(params, n, CTX)
     ref_ctx = NumericContext(digits=CTX.digits + 2 * n + 40)
-    dpi = dpi_forward(params, beta1_initial(params, ref_ctx), n, ref_ctx)
-    assert dpi.failure_index is None
+    other = SEQUENCE_ROUTES[route](params, n, ref_ctx)
+    assert other.failure_index is None
     with mp.workdps(ref_ctx.digits):
         for j in range(1, n + 1):
-            assert abs(hankel[j] - dpi[j]) <= mpf(10) ** -(CTX.digits - 20) * dpi[j]
+            assert abs(hankel[j] - other[j]) <= mpf(10) ** -(CTX.digits - 20) * other[j]
 
 
 @GRAM
