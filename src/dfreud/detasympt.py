@@ -48,7 +48,7 @@ from mpmath import mp, mpf, mpmathify, log, loggamma, pi, matrix, lu_solve, fsum
 
 from .numerics import NumericContext, DomainError, barnes_g_log, _DEFAULT_CTX, _check_n
 from .moments import WeightParams
-from .hankel import BetaSequence, beta_from_moments
+from .hankel import BetaSequence, beta_from_moments, _sequence_digits
 from .recurrence import beta_prime, delta_parity, _laurent, _positive_root
 from .asymptotics import double_scaling_coefficients
 
@@ -99,7 +99,7 @@ def logdet_derivative_exact(n: int, params: WeightParams, ctx: NumericContext,
         return mp.zero
     if betas is None:
         betas = beta_from_moments(params, n + 1, ctx)
-    with mp.workdps(betas.digits_used):
+    with mp.workdps(_sequence_digits(betas)):
         s, a, N = params.mpfs()
         bn = betas[n]
         t2, t1, t0 = _logdet_slices(s, n / N, a, delta_parity(n))
@@ -117,7 +117,7 @@ def logdet_derivative_sum(n: int, params: WeightParams, ctx: NumericContext,
         return mp.zero
     if betas is None:
         betas = beta_from_moments(params, n, ctx)
-    with mp.workdps(betas.digits_used):
+    with mp.workdps(_sequence_digits(betas)):
         s, a, N = params.mpfs()
         total = N * (1 + s) / (2 * s) * fsum(betas[j + 1] + betas[j] for j in range(n))
         return +(total - mpf(n) ** 2 / (4 * s) - n * a / (4 * s))

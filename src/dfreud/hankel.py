@@ -7,7 +7,8 @@ the pivots of the n x n Hankel (moment) matrix M = (mu_{j+k}):
 
 ``h_sequence`` returns both at once, as one ``BetaSequence``: the betas
 beta_0..beta_{n-1} and the pivots ``hs`` = h_0..h_{n-1}; ``logdet`` sums
-log h_j only when it is asked for.
+log h_j only when it is asked for.  Readers of a given beta sequence work at its
+``digits_used`` (mp.dps for a plain list) by ``_sequence_digits``; ``_check_index`` bounds n.
 
 This is the "oracle" route against which the discrete-Painleve recursion and
 every asymptotic expansion are checked.  The pivots come from Gautschi's
@@ -30,14 +31,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 from mpmath import mp, mpf, mpmathify, log, pi, loggamma, fsum
 
 from .numerics import NumericContext, PrecisionExhaustedError, DomainError, _check_n
 from .moments import WeightParams, moment_table
-
-Route = Literal["hankel", "dpi"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class BetaSequence:
     """
 
     params: WeightParams
-    route: Route
+    route: str
     betas: tuple
     digits_used: int
     hs: Optional[tuple] = None
@@ -61,6 +60,18 @@ class BetaSequence:
 
     def __getitem__(self, n: int):
         return self.betas[n]
+
+
+def _sequence_digits(betas) -> int:
+    """The working precision of every reader of a beta sequence: a BetaSequence's
+    ``digits_used``, or mp.dps for a plain sequence, which carries no digits."""
+    return getattr(betas, "digits_used", mp.dps)
+
+
+def _check_index(n: int, betas, lowest: int = 1) -> None:
+    """DomainError unless lowest <= n and beta_{n+1} (read at index n) exists."""
+    if not lowest <= n <= len(betas) - 2:
+        raise DomainError(f"index {n} outside {lowest}..{len(betas) - 2}: needs beta_{n + 1}")
 
 
 def _pivots(mus, n: int):

@@ -3,9 +3,9 @@
 Everything downstream (moments, Hankel pivots, recurrence iterations, determinant
 asymptotics) is computed with mpmath multiprecision floats.  The working precision
 is never set globally by library code: each operation receives a NumericContext
-and runs inside a scoped ``mp.workdps`` block, so callers see no precision state
-leak.  Values returned are ordinary ``mpf`` numbers carrying the precision they
-were created with.
+or a BetaSequence, whose ``digits_used`` it works at whatever the caller's
+mp.dps, and runs inside a scoped ``mp.workdps`` block, so no precision state
+leaks.  Returned ``mpf`` values carry the precision they were created with.
 
 Provided here:
 

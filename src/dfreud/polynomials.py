@@ -35,7 +35,7 @@ from mpmath import quad  # noqa: F401  -- unused here; bench/tracer.py spans pol
 
 from .numerics import NumericContext, DomainError, PoleError, _DEFAULT_CTX, _check_n
 from .moments import WeightParams, moment_table
-from .hankel import BetaSequence, beta_from_moments
+from .hankel import BetaSequence, beta_from_moments, _check_index, _sequence_digits
 from .recurrence import delta_parity
 
 
@@ -45,11 +45,6 @@ class MonicPolynomial:
 
     n: int
     betas: tuple
-
-
-def _work_dps(betas) -> int:
-    """Precision for operations on a beta sequence: never below its own."""
-    return max(mp.dps, getattr(betas, "digits_used", 0))
 
 
 def _recurrence(n: int, betas, z, order: int) -> tuple:
@@ -80,12 +75,6 @@ def eval_poly(poly: MonicPolynomial, z, derivative_order: int = 0) -> mpf:
     if derivative_order not in (0, 1, 2):
         raise DomainError("derivative_order must be 0, 1 or 2")
     return _recurrence(poly.n, poly.betas, mpmathify(z), derivative_order)[-1]
-
-
-def _check_index(n: int, betas, lowest: int = 1) -> None:
-    """DomainError unless lowest <= n and beta_{n+1} (read at index n) exists."""
-    if not lowest <= n <= len(betas) - 2:
-        raise DomainError(f"index {n} outside {lowest}..{len(betas) - 2}: needs beta_{n + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +127,7 @@ def _ladder(j: int, z, c, v, a, cz2, betas) -> tuple:
 
 def ladder_pair(n: int, z, params: WeightParams, betas) -> LadderPair:
     """Closed-form A_n(z), B_n(z), n >= 0; the 1/z term of B_n exists iff n is odd."""
-    with mp.workdps(_work_dps(betas)):
+    with mp.workdps(_sequence_digits(betas)):
         z = mpmathify(z)
         c, v, a = _constants(params)
         a_n, b_n = _ladder(n, z, c, v, a, c * z * z, betas)
@@ -157,7 +146,7 @@ def lowering_residual(n: int, z, params: WeightParams, betas,
     """P_n'(z) - [beta_n A_n(z) P_{n-1}(z) - B_n(z) P_n(z)].  ``polys`` is ignored:
     P_n comes from ``betas``; the parameter stays for callers passing it positionally."""
     _check_index(n, betas)
-    with mp.workdps(_work_dps(betas)):
+    with mp.workdps(_sequence_digits(betas)):
         z = mpmathify(z)
         return _lowering(n, z, params, betas, *_recurrence(n, betas, z, 1))[0]
 
@@ -172,7 +161,7 @@ def sum_rule_residual(n: int, params: WeightParams, betas) -> mpf:
     if params.s == 0:
         raise DomainError("sum rule stated for s > 0")
     _check_index(n, betas)
-    with mp.workdps(_work_dps(betas)):
+    with mp.workdps(_sequence_digits(betas)):
         s, a, N = params.mpfs()
         u = (1 - s) / (2 * s)
         dn = delta_parity(n)
@@ -193,7 +182,7 @@ def compatibility_residuals(n: int, z, params: WeightParams, betas) -> tuple:
     Only B_n and B_{n+1} are formed; the sum in (S2') reads A_0..A_{n-1} alone.
     """
     _check_index(n, betas)
-    with mp.workdps(_work_dps(betas)):
+    with mp.workdps(_sequence_digits(betas)):
         z = mpmathify(z)
         c, v, a = _constants(params)
         cz2, v0p, a_over_z = c * z * z, _v0_prime(c, v, z), _alpha_over_z(a, z)
@@ -231,15 +220,15 @@ def ode_coefficients(n: int, z, params: WeightParams, betas,
                      ctx: Optional[NumericContext] = None) -> OdeCoefficients:
     """Closed-form R_n(z), Q_n(z); raises PoleError near the movable pole."""
     _check_index(n, betas)
-    digits = ctx.digits if ctx is not None else mp.dps
-    with mp.workdps(_work_dps(betas)):
+    work = _sequence_digits(betas)
+    with mp.workdps(work):
         z = mpmathify(z)
         c, v, a = _constants(params)
         if c == 0:
             raise DomainError("the z-ODE coefficients are stated for s > 0")
         u = v / c       # (1-s)/(2s)
         pole = z * z + u + betas[n] + betas[n + 1]
-        threshold = _pole_guard(digits // 2, mp.prec)
+        threshold = _pole_guard((work if ctx is None else ctx.digits) // 2, mp.prec)
         for denom in (pole, z) if a != 0 else (pole,):
             if abs(denom) < threshold:
                 raise PoleError(f"denominator {denom} within pole guard")
@@ -269,7 +258,7 @@ def pn_ode_residual(n: int, z, params: WeightParams, betas,
                     polys: Optional[Sequence[MonicPolynomial]] = None,
                     ctx: Optional[NumericContext] = None) -> mpf:
     """|P_n'' + R_n P_n' + Q_n P_n| relative to the largest term; ``polys`` is ignored."""
-    with mp.workdps(_work_dps(betas)):
+    with mp.workdps(_sequence_digits(betas)):
         co = ode_coefficients(n, z, params, betas, ctx)
         return _ode_relative(co, *_recurrence(n, betas, co.z, 2)[1:])
 
@@ -280,7 +269,7 @@ def identity_residuals(n: int, z, params: WeightParams, betas,
     (|S1| at z = 0, where every term of S1 vanishes), S2 / max(|beta_{n+1} A_n|, 1),
     S2' / |beta_n A_n^2| and ``pn_ode_residual``'s z-ODE."""
     _check_index(n, betas)
-    with mp.workdps(_work_dps(betas)):
+    with mp.workdps(_sequence_digits(betas)):
         z = mpmathify(z)
         p_prev, p, dp, ddp = _recurrence(n, betas, z, 2)
         low, a_n = _lowering(n, z, params, betas, p_prev, p, dp)

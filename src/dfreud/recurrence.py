@@ -37,7 +37,7 @@ from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_sub
 
 from .numerics import NumericContext, DomainError, to_fraction, _DEFAULT_CTX, _check_n
 from .moments import WeightParams, mu0
-from .hankel import BetaSequence, beta_from_moments
+from .hankel import BetaSequence, beta_from_moments, _check_index, _sequence_digits
 
 
 def delta_parity(n: int) -> int:
@@ -107,30 +107,30 @@ def dpi_residual(betas: BetaSequence | Sequence, params: WeightParams) -> list:
     closed-form coefficients satisfy exactly:
                 r_n = beta_n (1-s)/2 - (n + alpha Delta_n)/(4N)   (s terms absent).
     """
-    seq = betas.betas if isinstance(betas, BetaSequence) else tuple(betas)
-    if len(seq) < 3:
+    if len(betas) < 3:
         raise DomainError("need at least beta_0, beta_1, beta_2")
-    digits = betas.digits_used if isinstance(betas, BetaSequence) else mp.dps
-    with mp.workdps(digits):
+    with mp.workdps(_sequence_digits(betas)):
         s, a, N = params.mpfs()
         out = []
-        for n in range(1, len(seq) - 1):
+        for n in range(1, len(betas) - 1):
             ell4N = (n + a * delta_parity(n)) / (4 * N)
-            triple = seq[n + 1] + seq[n] + seq[n - 1]
+            triple = betas[n + 1] + betas[n] + betas[n - 1]
             if s == 0:
-                out.append(seq[n] * (1 - s) / 2 - ell4N)
+                out.append(betas[n] * (1 - s) / 2 - ell4N)
             else:
-                out.append(seq[n] * (triple + (1 - s) / (2 * s)) - ell4N / s)
+                out.append(betas[n] * (triple + (1 - s) / (2 * s)) - ell4N / s)
         return out
 
 
 def beta_prime(n: int, betas, params: WeightParams) -> mpf:
     """beta_n'(s) from the differential-difference equation (needs beta_{n+-1})."""
     _check_n(n, 0)
+    _check_index(n, betas, lowest=0)
     if params.s == 0:
         raise DomainError("beta_prime formula is singular at s = 0")
-    s, a, N = params.mpfs()
-    return betas[n] / (2 * s) * (N * (s + 1) * (betas[n + 1] - betas[n - 1]) - 1)
+    with mp.workdps(_sequence_digits(betas)):
+        s, a, N = params.mpfs()
+        return betas[n] / (2 * s) * (N * (s + 1) * (betas[n + 1] - betas[n - 1]) - 1)
 
 
 def beta_second(n: int, betas, params: WeightParams) -> mpf:
@@ -145,13 +145,14 @@ def beta_second(n: int, betas, params: WeightParams) -> mpf:
     """
     if params.s == 0:
         raise DomainError("beta_second formula is singular at s = 0")
-    s, a, N = params.mpfs()
-    bp_n = beta_prime(n, betas, params)
-    bp_up = beta_prime(n + 1, betas, params)
-    bp_dn = beta_prime(n - 1, betas, params)
-    E = N * (1 + s) * (betas[n + 1] - betas[n - 1]) - 1
-    Ep = N * (betas[n + 1] - betas[n - 1]) + N * (1 + s) * (bp_up - bp_dn)
-    return (bp_n * E + betas[n] * Ep) / (2 * s) - betas[n] * E / (2 * s * s)
+    with mp.workdps(_sequence_digits(betas)):
+        s, a, N = params.mpfs()
+        bp_n = beta_prime(n, betas, params)
+        bp_up = beta_prime(n + 1, betas, params)
+        bp_dn = beta_prime(n - 1, betas, params)
+        E = N * (1 + s) * (betas[n + 1] - betas[n - 1]) - 1
+        Ep = N * (betas[n + 1] - betas[n - 1]) + N * (1 + s) * (bp_up - bp_dn)
+        return (bp_n * E + betas[n] * Ep) / (2 * s) - betas[n] * E / (2 * s * s)
 
 
 def _laurent(terms, x, d: int = 0) -> mpf:
@@ -201,7 +202,7 @@ def ode25_residual(n: int, params: WeightParams, ctx: NumericContext,
         raise DomainError("need n >= 2 (the window uses beta_{n-2})")
     if betas is None:
         betas = beta_from_moments(params, n + 2, ctx)
-    with mp.workdps(betas.digits_used):
+    with mp.workdps(_sequence_digits(betas)):
         s, a, N = params.mpfs()
         bn = betas[n]
         s2, s1, s0 = _ode_slices(s, n / N, a, delta_parity(n))

@@ -13,7 +13,7 @@ from dfreud import (NumericContext, WeightParams, DomainError,
                     fluid_endpoint, upper_bound, heun_parameters, beta_prime,
                     beta_second, logdet_derivative_exact, logdet_derivative_sum,
                     logdet_expansion, beta1_initial, dpi_forward, mehta_normand_logD0,
-                    h_sequence, logdet)
+                    h_sequence, logdet, ode25_residual)
 
 
 CTX30 = NumericContext(digits=30)
@@ -40,6 +40,21 @@ def test_negative_n_rejected(call, lowest):
     for n in (-1, -2, -3, -4):
         with pytest.raises(DomainError, match="n must be >= 0"):
             call(n, betas)
+
+
+@pytest.mark.parametrize("call, last", [
+    (lambda n, b: beta_prime(n, b, WeightParams("0.5", 1, 1)), 8),
+    (lambda n, b: beta_second(n, b, WeightParams("0.5", 1, 1)), 7),
+    (lambda n, b: ode25_residual(n, WeightParams("0.5", 1, 1), CTX30, b), 7),
+    (lambda n, b: logdet_derivative_exact(n, WeightParams("0.5", 1, 1), CTX30, b), 8),
+], ids=["beta_prime", "beta_second", "ode25_residual", "logdet_derivative_exact"])
+def test_index_past_the_sequence_rejected(call, last):
+    # beta_0..beta_9: beta_n' reads beta_{n+1}, so n = 9 needs a beta_10 the
+    # sequence lacks; that used to raise a bare IndexError
+    betas = beta_from_moments(WeightParams("0.5", 1, 1), 9, CTX30)
+    call(last, betas)
+    with pytest.raises(DomainError, match="needs beta_10"):
+        call(last + 1, betas)
 
 
 HALF = WeightParams("1/2", 1, 1)

@@ -141,9 +141,10 @@ class TestBetaPrime:
     def test_n1_uses_beta0_zero(self, ctx60):
         params = WeightParams("0.5", 1, 1)
         betas = beta_from_moments(params, 2, ctx60)
-        with mp.workdps(70):
+        with mp.workdps(betas.digits_used):
             s, a, N = params.mpfs()
             direct = betas[1] / (2 * s) * (N * (s + 1) * betas[2] - 1)
+        with mp.workdps(70):
             assert beta_prime(1, betas, params) == direct
 
     def test_s0_rejected(self, ctx60):
